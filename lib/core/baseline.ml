@@ -32,11 +32,7 @@ let save_instance t ~process:_ ~vtpm_id : (string, string) result =
 let restore_instance t ~process:_ ~blob : (int, string) result =
   match Vtpm_mgr.Stateproc.load t.mgr blob with
   | Error e -> Error e
-  | Ok (engine, _) ->
-      let inst = Vtpm_mgr.Manager.create_instance t.mgr in
-      let inst = { inst with Vtpm_mgr.Manager.engine } in
-      Vtpm_mgr.Manager.install_instance t.mgr inst;
-      Ok inst.Vtpm_mgr.Manager.vtpm_id
+  | Ok (engine, _) -> Ok (Vtpm_mgr.Manager.adopt_instance t.mgr engine).Vtpm_mgr.Manager.vtpm_id
 
 let migrate_out t ~process:_ ~vtpm_id : (string, string) result =
   match Vtpm_mgr.Manager.find t.mgr vtpm_id with

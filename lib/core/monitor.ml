@@ -570,9 +570,7 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
             match Vtpm_mgr.Stateproc.load t.mgr blob with
             | Error e -> Error e
             | Ok (engine, _) ->
-                let inst = Vtpm_mgr.Manager.create_instance t.mgr in
-                let inst = { inst with Vtpm_mgr.Manager.engine } in
-                Vtpm_mgr.Manager.install_instance t.mgr inst;
+                let inst = Vtpm_mgr.Manager.adopt_instance t.mgr engine in
                 Ok (M_instance inst.Vtpm_mgr.Manager.vtpm_id))
         | Migrate_out { vtpm_id; dest_key } -> (
             match Vtpm_mgr.Manager.find t.mgr vtpm_id with

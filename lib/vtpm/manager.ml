@@ -176,18 +176,17 @@ let find t vtpm_id : (instance, Vtpm_util.Verror.t) result =
   | Some i -> Ok i
   | None -> Vtpm_util.Verror.no_such "vTPM instance %d" vtpm_id
 
-let create_instance t : instance =
+(* Behind both [create_instance] and [adopt_instance], so the id and seed
+   sequence (hence later EKs) is the same whichever path ran. *)
+let add_instance t ~state make_engine : instance =
   let vtpm_id = t.next_id in
   t.next_id <- t.next_id + 1;
   t.seed <- t.seed + 7919;
-  let engine = Engine.create ~rsa_bits:t.rsa_bits ~seed:t.seed () in
-  let resp = Engine.execute engine ~locality:4 (Cmd.Startup Types.St_clear) in
-  assert (resp.Cmd.rc = Types.tpm_success);
   let inst =
     {
       vtpm_id;
-      engine;
-      state = Active;
+      engine = make_engine t.seed;
+      state;
       bound_domid = None;
       group_id = 0;
       created_at = Vtpm_util.Cost.now t.cost;
@@ -196,6 +195,16 @@ let create_instance t : instance =
   Hashtbl.replace t.instances vtpm_id inst;
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.vtpm_attach_us;
   inst
+
+let create_instance t : instance =
+  add_instance t ~state:Active (fun seed ->
+      let engine = Engine.create ~rsa_bits:t.rsa_bits ~seed () in
+      let resp = Engine.execute engine ~locality:4 (Cmd.Startup Types.St_clear) in
+      assert (resp.Cmd.rc = Types.tpm_success);
+      engine)
+
+let adopt_instance t ?(state = Active) engine : instance =
+  add_instance t ~state (fun _ -> engine)
 
 (* --- Domain binding and the domid index ---------------------------------- *)
 

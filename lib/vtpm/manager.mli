@@ -55,6 +55,14 @@ val create : ?rsa_bits:int -> seed:int -> cost:Vtpm_util.Cost.t -> unit -> t
 
 val find : t -> int -> (instance, Vtpm_util.Verror.t) result
 val create_instance : t -> instance
+(** A fresh instance: new engine (EK keygen) plus [TPM_Startup]. Takes
+    the next id, bumps the seed, charges [Cost.vtpm_attach_us]. *)
+
+val adopt_instance : t -> ?state:instance_state -> Vtpm_tpm.Engine.t -> instance
+(** Register an engine restored from a blob or migration stream (default
+    state [Active]) under the next id, skipping the keygen. Advances the
+    id and seed and charges attach exactly as {!create_instance}, so
+    later fresh instances get the same ids and EKs either way. *)
 
 val destroy_instance : t -> int -> unit
 (** Removes the instance and its domid-index entry. *)

@@ -88,24 +88,21 @@ let export mgr ?fresh (inst : Manager.instance) ~(mode : mode)
               let xk = Vtpm_crypto.Xtea.key_of_string sym_key in
               let cipher = Vtpm_crypto.Xtea.ctr_transform xk ~nonce:0x4d49 state in
               Vtpm_util.Cost.charge mgr.Manager.cost Vtpm_util.Cost.hwtpm_srk_op_us;
+              (* v1 has an empty header; v2's is inside the MAC. *)
+              let magic, header, macced =
+                match fresh with
+                | None -> (magic_protected, "", cipher)
+                | Some f ->
+                    let lineage = Freshness.lineage inst.Manager.engine in
+                    let header = fresh_header ~lineage ~counter:(Freshness.issue f ~lineage) in
+                    (magic_fresh, header, header ^ cipher)
+              in
               let w = Vtpm_util.Codec.writer () in
-              (match fresh with
-              | None ->
-                  let mac = Vtpm_crypto.Hmac.sha256_mac ~key:sym_key cipher in
-                  Vtpm_util.Codec.write_bytes w magic_protected;
-                  Vtpm_util.Codec.write_sized w wrapped_key;
-                  Vtpm_util.Codec.write_sized w cipher;
-                  Vtpm_util.Codec.write_bytes w mac
-              | Some f ->
-                  let lineage = Freshness.lineage inst.Manager.engine in
-                  let counter = Freshness.issue f ~lineage in
-                  let header = fresh_header ~lineage ~counter in
-                  let mac = Vtpm_crypto.Hmac.sha256_mac ~key:sym_key (header ^ cipher) in
-                  Vtpm_util.Codec.write_bytes w magic_fresh;
-                  Vtpm_util.Codec.write_bytes w header;
-                  Vtpm_util.Codec.write_sized w wrapped_key;
-                  Vtpm_util.Codec.write_sized w cipher;
-                  Vtpm_util.Codec.write_bytes w mac);
+              Vtpm_util.Codec.write_bytes w magic;
+              Vtpm_util.Codec.write_bytes w header;
+              Vtpm_util.Codec.write_sized w wrapped_key;
+              Vtpm_util.Codec.write_sized w cipher;
+              Vtpm_util.Codec.write_bytes w (Vtpm_crypto.Hmac.sha256_mac ~key:sym_key macced);
               Ok (Vtpm_util.Codec.contents w)))
 
 (* After a successful export the source instance is dead: TPM state must
@@ -142,43 +139,33 @@ let import_state mgr ?fresh ~(state : Manager.instance_state) (stream : string) 
         if fresh <> None then
           Error "plaintext stream carries no freshness counter; refusing (rollback risk)"
         else Ok (String.sub stream 8 (String.length stream - 8), None)
-      else if magic = magic_protected then begin
+      else if magic = magic_protected || magic = magic_fresh then begin
         match
           let r = Vtpm_util.Codec.reader stream in
           let _ = Vtpm_util.Codec.read_bytes r 8 in
-          let wrapped_key = Vtpm_util.Codec.read_sized r in
-          let cipher = Vtpm_util.Codec.read_sized r in
-          let mac = Vtpm_util.Codec.read_bytes r 32 in
-          (wrapped_key, cipher, mac)
-        with
-        | exception Vtpm_util.Codec.Truncated m -> Error ("truncated stream: " ^ m)
-        | wrapped_key, cipher, mac ->
-            if fresh <> None then
-              (* Downgrade defense: a freshness-enforcing destination must
-                 not accept envelopes without a counter. *)
-              Error "legacy (v1) stream carries no freshness counter; refusing (downgrade)"
+          let header =
+            if magic = magic_protected then None
             else
-              Result.map
-                (fun s -> (s, None))
-                (unbind_and_open mgr ~wrapped_key ~cipher ~mac ~macced:cipher)
-      end
-      else if magic = magic_fresh then begin
-        match
-          let r = Vtpm_util.Codec.reader stream in
-          let _ = Vtpm_util.Codec.read_bytes r 8 in
-          let lineage = Vtpm_util.Codec.read_sized r in
-          let counter = Vtpm_util.Codec.read_u32_int r in
+              let lineage = Vtpm_util.Codec.read_sized r in
+              Some (lineage, Vtpm_util.Codec.read_u32_int r)
+          in
           let wrapped_key = Vtpm_util.Codec.read_sized r in
           let cipher = Vtpm_util.Codec.read_sized r in
           let mac = Vtpm_util.Codec.read_bytes r 32 in
-          (lineage, counter, wrapped_key, cipher, mac)
+          (header, wrapped_key, cipher, mac)
         with
         | exception Vtpm_util.Codec.Truncated m -> Error ("truncated stream: " ^ m)
-        | lineage, counter, wrapped_key, cipher, mac ->
-            let macced = fresh_header ~lineage ~counter ^ cipher in
-            Result.map
-              (fun s -> (s, Some (lineage, counter)))
-              (unbind_and_open mgr ~wrapped_key ~cipher ~mac ~macced)
+        | None, _, _, _ when fresh <> None ->
+            (* Downgrade defense: a freshness-enforcing destination must
+               not accept envelopes without a counter. *)
+            Error "legacy (v1) stream carries no freshness counter; refusing (downgrade)"
+        | header, wrapped_key, cipher, mac ->
+            let macced =
+              match header with
+              | None -> cipher
+              | Some (lineage, counter) -> fresh_header ~lineage ~counter ^ cipher
+            in
+            Result.map (fun s -> (s, header)) (unbind_and_open mgr ~wrapped_key ~cipher ~mac ~macced)
       end
       else Error "unrecognized migration stream"
     in
@@ -202,11 +189,7 @@ let import_state mgr ?fresh ~(state : Manager.instance_state) (stream : string) 
             in
             match freshness_ok with
             | Error m -> Error m
-            | Ok () ->
-                let inst = Manager.create_instance mgr in
-                let inst = { inst with Manager.engine; state } in
-                Manager.install_instance mgr inst;
-                Ok inst))
+            | Ok () -> Ok (Manager.adopt_instance mgr ~state engine)))
   end
 
 let import mgr ?fresh (stream : string) : (Manager.instance, string) result =

@@ -79,9 +79,7 @@ let load mgr (blob : string) : (Engine.t * int option, string) result =
   | Some Plain -> (
       let state = String.sub blob 8 (String.length blob - 8) in
       charge_io_cost mgr ~bytes:(String.length state);
-      match Engine.deserialize_state state with
-      | Ok e -> Ok (e, None)
-      | Error m -> Error m)
+      Result.map (fun e -> (e, None)) (Engine.deserialize_state state))
   | Some Sealed -> (
       match
         let r = Vtpm_util.Codec.reader blob in
@@ -114,9 +112,7 @@ let load mgr (blob : string) : (Engine.t * int option, string) result =
             let xk = Vtpm_crypto.Xtea.key_of_string sym_key in
             let state = Vtpm_crypto.Xtea.ctr_transform xk ~nonce:vtpm_id cipher in
             charge_seal_cost mgr ~bytes:(String.length state);
-            match Engine.deserialize_state state with
-            | Ok e -> Ok (e, Some vtpm_id)
-            | Error m -> Error m
+            Result.map (fun e -> (e, Some vtpm_id)) (Engine.deserialize_state state)
           end)
 
 (* Suspend an instance to a blob and mark it inactive. *)
@@ -132,6 +128,5 @@ let resume mgr (inst : Manager.instance) (blob : string) : (unit, string) result
   | Ok (engine, _) ->
       (* Replace the engine wholesale; handles/sessions were dropped by
          TPM save semantics. *)
-      let fresh = { inst with Manager.engine } in
-      Manager.install_instance mgr { fresh with Manager.state = Manager.Active };
+      Manager.install_instance mgr { inst with Manager.engine; state = Manager.Active };
       Ok ()

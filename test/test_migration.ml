@@ -321,6 +321,84 @@ let test_table_roundtrip () =
   check_b "replay refused after table reload" true
     (Result.is_error (Migration.import dst ~fresh:fdst s1))
 
+(* --- Adopting restored engines -------------------------------------------------- *)
+
+let state_bytes (inst : Manager.instance) = Vtpm_tpm.Engine.serialize_state inst.Manager.engine
+
+(* [import] lands the stream's engine Active, [receive] lands it
+   Suspended; both adopt the carried engine itself, byte for byte, under
+   a fresh id on the destination. *)
+let test_adopt_import_and_receive () =
+  let src = mk_manager ~seed:13 () in
+  let dst = mk_manager ~seed:14 () in
+  let inst = provisioned_instance src in
+  let before = state_bytes inst in
+  let dest_key = Some (Migration.bind_pubkey dst) in
+  let export () = Result.get_ok (Migration.export src inst ~mode:Migration.Protected ~dest_key) in
+  let check name expected_state = function
+    | Error m -> Alcotest.fail (name ^ ": " ^ m)
+    | Ok (i : Manager.instance) ->
+        check_b (name ^ " state") true (i.Manager.state = expected_state);
+        check_s (name ^ " engine bytes") before (state_bytes i);
+        check_b (name ^ " registered") true
+          (match Manager.find dst i.Manager.vtpm_id with Ok j -> j == i | Error _ -> false)
+  in
+  check "import" Manager.Active (Migration.import dst (export ()));
+  check "receive" Manager.Suspended (Migration.receive dst (export ()))
+
+(* Both management restore paths (policy-gated sealed blob, baseline
+   plaintext blob) hand back an instance carrying the saved engine. *)
+let test_adopt_restore_paths () =
+  let xen = Vtpm_xen.Hypervisor.create () in
+  let mgr = Manager.create ~rsa_bits:256 ~seed:21 ~cost:xen.Vtpm_xen.Hypervisor.cost () in
+  let inst = provisioned_instance mgr in
+  let before = state_bytes inst in
+  let restored name = function
+    | Error m -> Alcotest.fail (name ^ ": " ^ m)
+    | Ok id ->
+        check_b (name ^ " new id") true (id <> inst.Manager.vtpm_id);
+        check_s (name ^ " engine bytes") before (state_bytes (Result.get_ok (Manager.find mgr id)))
+  in
+  let monitor = Vtpm_access.Monitor.create ~xen ~mgr () in
+  Vtpm_access.Monitor.register_process monitor ~process:"vtpm-manager" ~token:"tok";
+  let mgmt op = Vtpm_access.Monitor.management monitor ~process:"vtpm-manager" ~token:"tok" op in
+  (match mgmt (Vtpm_access.Monitor.Save_instance { vtpm_id = inst.Manager.vtpm_id }) with
+  | Ok (Vtpm_access.Monitor.M_blob blob) ->
+      restored "monitor"
+        (match mgmt (Vtpm_access.Monitor.Restore_instance { blob }) with
+        | Ok (Vtpm_access.Monitor.M_instance id) -> Ok id
+        | Ok _ -> Error "unexpected management result"
+        | Error m -> Error m)
+  | _ -> Alcotest.fail "monitor save failed");
+  let baseline = Vtpm_access.Baseline.create ~xen ~mgr in
+  let blob =
+    Result.get_ok
+      (Vtpm_access.Baseline.save_instance baseline ~process:"any" ~vtpm_id:inst.Manager.vtpm_id)
+  in
+  restored "baseline" (Vtpm_access.Baseline.restore_instance baseline ~process:"any" ~blob)
+
+(* Adopting takes an id and a seed step exactly like creating, so an
+   import in the middle of a run leaves every later fresh instance — id
+   and endorsement key — as it would have been. *)
+let test_adopt_id_seed_continuity () =
+  let src = mk_manager ~seed:13 () in
+  let stream =
+    Result.get_ok
+      (Migration.export src (provisioned_instance src) ~mode:Migration.Plaintext ~dest_key:None)
+  in
+  let a = mk_manager ~seed:30 () and b = mk_manager ~seed:30 () in
+  ignore (Manager.create_instance a);
+  ignore (Result.get_ok (Migration.import a stream));
+  let a3 = Manager.create_instance a in
+  ignore (Manager.create_instance b);
+  ignore (Manager.create_instance b);
+  let b3 = Manager.create_instance b in
+  check_i "third vtpm_id" b3.Manager.vtpm_id a3.Manager.vtpm_id;
+  let ek (i : Manager.instance) = i.Manager.engine.Vtpm_tpm.Engine.ek.Vtpm_tpm.Keystore.rsa.pub in
+  check_b "third EK public key" true
+    (Vtpm_crypto.Bignum.equal (ek a3).Vtpm_crypto.Rsa.n (ek b3).Vtpm_crypto.Rsa.n
+    && Vtpm_crypto.Bignum.equal (ek a3).Vtpm_crypto.Rsa.e (ek b3).Vtpm_crypto.Rsa.e)
+
 let suite =
   [
     Alcotest.test_case "round-trip byte fidelity (v0/v1)" `Quick test_roundtrip_byte_fidelity;
@@ -337,4 +415,8 @@ let suite =
     Alcotest.test_case "aborted import destroyed" `Quick test_abort_import_destroys;
     Alcotest.test_case "anchored table fails closed on rollback" `Quick test_anchor_detects_stale_table;
     Alcotest.test_case "table save/load round-trip" `Quick test_table_roundtrip;
+    Alcotest.test_case "import/receive adopt the stream's engine" `Quick
+      test_adopt_import_and_receive;
+    Alcotest.test_case "monitor/baseline restore adopt the blob" `Quick test_adopt_restore_paths;
+    Alcotest.test_case "adopt keeps id/seed continuity" `Quick test_adopt_id_seed_continuity;
   ]
