@@ -4,7 +4,7 @@
    head must live somewhere the adversary cannot rewrite. The manager
    periodically commits the head into a hardware-TPM NV space whose write
    requires owner authorization, and bumps a monotonic counter so missing
-   commits are detectable. A dom0 tool that steals the log file cannot
+   commits are detectable. A dom0 tool that copies the log file cannot
    forge a matching anchor.
 
    The direct paths below talk to the chip in a single attempt — fine on

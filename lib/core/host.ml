@@ -36,9 +36,9 @@ type t = {
 
 let manager_process = "vtpm-manager"
 
-let create ?(mode = Improved_mode) ?(seed = 1) ?(rsa_bits = 512) ?policy ?acm () : t =
+let create ?(mode = Improved_mode) ?(seed = 1) ?(rsa_bits = 512) ?quote_profile ?policy ?acm () : t =
   let xen = Hypervisor.create () in
-  let mgr = Vtpm_mgr.Manager.create ~rsa_bits ~seed ~cost:xen.Hypervisor.cost () in
+  let mgr = Vtpm_mgr.Manager.create ~rsa_bits ?quote_profile ~seed ~cost:xen.Hypervisor.cost () in
   let manager_token = Vtpm_util.Hex.encode (Vtpm_crypto.Sha256.digest (Printf.sprintf "mgr-token-%d" seed)) in
   let monitor, baseline, router =
     match mode with
@@ -95,8 +95,8 @@ let assign_guest_group t (g : guest) label =
    its shard lane — each replica runs its own frontend, so one shard's
    transport work does not serialize the others. Everything here is
    opt-in: a host that never calls this is byte-identical to the seed. *)
-let enable_sharding t ?placement ?lanes_per_shard ?group_of () =
-  let registry = Vtpm_mgr.Group.create ?placement ?lanes_per_shard () in
+let enable_sharding t ?lanes_per_shard ?group_of () =
+  let registry = Vtpm_mgr.Group.create ?lanes_per_shard () in
   Vtpm_mgr.Manager.set_shards t.mgr (Some registry);
   let label_of =
     match group_of with

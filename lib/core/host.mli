@@ -36,7 +36,16 @@ type t = {
 val manager_process : string
 (** The privileged dom0 process name the monitor trusts for management. *)
 
-val create : ?mode:mode -> ?seed:int -> ?rsa_bits:int -> ?policy:Policy.t -> ?acm:Acm.t -> unit -> t
+val create :
+  ?mode:mode ->
+  ?seed:int ->
+  ?rsa_bits:int ->
+  ?quote_profile:Vtpm_util.Cost.quote_profile ->
+  ?policy:Policy.t ->
+  ?acm:Acm.t ->
+  unit ->
+  t
+(** [quote_profile] is passed to {!Vtpm_mgr.Manager.create}. *)
 
 val cost : t -> Vtpm_util.Cost.t
 val now_us : t -> float
@@ -48,7 +57,6 @@ val monitor_exn : t -> Monitor.t
 
 val enable_sharding :
   t ->
-  ?placement:Vtpm_util.Cost.Lanes.placement ->
   ?lanes_per_shard:int ->
   ?group_of:(guest -> string) ->
   unit ->

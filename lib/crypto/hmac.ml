@@ -26,7 +26,9 @@ let xor_pad key pad_byte block_size =
 let stream1 = lazy (Sha1.init ())
 let stream256 = lazy (Sha256.init ())
 
-let mac_padded (h : hash) ~ipad ~opad (msg : string) : string =
+let mac (h : hash) ~key (msg : string) : string =
+  let key = if String.length key > h.block_size then h.digest key else key in
+  let ipad = xor_pad key 0x36 h.block_size and opad = xor_pad key 0x5c h.block_size in
   match h.impl with
   | SHA1 ->
       let c = Lazy.force stream1 in
@@ -49,25 +51,8 @@ let mac_padded (h : hash) ~ipad ~opad (msg : string) : string =
       Sha256.feed c inner;
       Sha256.finalize c
 
-let mac (h : hash) ~key (msg : string) : string =
-  let key = if String.length key > h.block_size then h.digest key else key in
-  mac_padded h ~ipad:(xor_pad key 0x36 h.block_size) ~opad:(xor_pad key 0x5c h.block_size) msg
-
 let sha1_mac ~key msg = mac sha1 ~key msg
 let sha256_mac ~key msg = mac sha256 ~key msg
-
-(* Precomputed key pads: deriving once amortizes the two [xor_pad]
-   allocations (and the long-key pre-hash) across every MAC under the
-   same key — sessions and state seals MAC many messages per key. *)
-type prekey = { h : hash; ipad : string; opad : string }
-
-let derive (h : hash) ~key : prekey =
-  let key = if String.length key > h.block_size then h.digest key else key in
-  { h; ipad = xor_pad key 0x36 h.block_size; opad = xor_pad key 0x5c h.block_size }
-
-let mac_prekeyed (k : prekey) (msg : string) : string = mac_padded k.h ~ipad:k.ipad ~opad:k.opad msg
-let sha1_prekey ~key = derive sha1 ~key
-let sha256_prekey ~key = derive sha256 ~key
 
 (* Constant-shape comparison: never short-circuits, so the comparison time
    does not leak the position of the first mismatching byte. *)

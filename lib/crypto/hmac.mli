@@ -1,37 +1,16 @@
-(** HMAC (RFC 2104), generic over a hash function.
+(** HMAC (RFC 2104) over SHA-1 and SHA-256.
 
     TPM 1.2 authorization sessions (OIAP/OSAP) prove knowledge of a usage
     secret with HMAC-SHA1 over a digest of the command parameters. *)
 
-type hash
-(** A hash algorithm for HMAC; only {!sha1} and {!sha256} exist. *)
-
-val sha1 : hash
-val sha256 : hash
-
-val mac : hash -> key:string -> string -> string
-(** [mac h ~key msg] is HMAC over [msg]; keys longer than the hash block
-    are pre-hashed per the RFC. The inner and outer hashes stream through
-    a reused context — the message is never copied into an
-    [ipad ^ msg] staging string. *)
-
 val sha1_mac : key:string -> string -> string
+(** [sha1_mac ~key msg] is HMAC-SHA1 over [msg]; keys longer than the
+    hash block are pre-hashed per the RFC. The inner and outer hashes
+    stream through a reused context — the message is never copied into
+    an [ipad ^ msg] staging string. *)
+
 val sha256_mac : key:string -> string -> string
-
-(** {1 Precomputed keys}
-
-    Deriving a key once amortizes the inner/outer pad computation (and
-    the long-key pre-hash) across every MAC under that key. *)
-
-type prekey
-
-val derive : hash -> key:string -> prekey
-val sha1_prekey : key:string -> prekey
-val sha256_prekey : key:string -> prekey
-
-val mac_prekeyed : prekey -> string -> string
-(** [mac_prekeyed (derive h ~key) msg] equals [mac h ~key msg]
-    (property-tested). *)
+(** As {!sha1_mac}, with SHA-256. *)
 
 val equal_ct : string -> string -> bool
 (** Constant-shape comparison: never short-circuits, so timing does not

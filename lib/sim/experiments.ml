@@ -143,19 +143,37 @@ let table3 ?(state_kib = 16) () : table3_row list * string =
 
 (* --- Figure 1: throughput vs number of VMs -------------------------------------- *)
 
+(* One throughput-vs-VMs series: per VM count [n], a fresh host seeded
+   [seed_base + n] is [configure]d and then runs a constant total
+   operation count split evenly across its tenants. With a shared
+   workload seed every configuration draws the identical op sequence, so
+   a series isolates per-VM effects from mix-sampling noise. *)
+let vm_sweep ?(mode = Host.Improved_mode) ?quote_profile ~vm_counts ~total_ops ~seed_base ~mix
+    ~configure () =
+  List.map
+    (fun n ->
+      let host, tenants =
+        Workload.make_host_with_tenants ~mode ~n ~seed:(seed_base + n) ?quote_profile ()
+      in
+      configure host n;
+      let ops_per_tenant = max 1 (total_ops / n) in
+      let r = Workload.run host ~tenants ~mix ~ops_per_tenant () in
+      (float_of_int n, r.Workload.throughput_ops_s))
+    vm_counts
+
+(* Install an [n]-rule guarded policy with the given monitor fast paths. *)
+let guarded_policy host ~rules ~indexed ~guard_cache =
+  let monitor = Host.monitor_exn host in
+  Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
+  Monitor.set_index_enabled monitor indexed;
+  Monitor.set_guard_cache_enabled monitor guard_cache
+
 let fig1 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(total_ops = 1920) () :
     (string * (float * float) list) list * string =
-  (* Constant total operation count across VM counts: with a shared
-     workload seed every configuration draws the identical op sequence, so
-     the series isolates per-VM effects from mix-sampling noise. *)
   let series_for mode =
-    List.map
-      (fun n ->
-        let host, tenants = Workload.make_host_with_tenants ~mode ~n ~seed:(50 + n) () in
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+    vm_sweep ~mode ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
+      ~configure:(fun _ _ -> ())
+      ()
   in
   let series =
     List.map (fun mode -> (Host.mode_name mode, series_for mode)) both_modes
@@ -178,16 +196,9 @@ let fig8 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(lane_counts = [ 1; 2; 4; 8 ])
      per request — ring, XenStore, monitor decision, audit — is what the
      higher lane counts saturate against. *)
   let series_for lanes =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
-        Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+    vm_sweep ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
+      ~configure:(fun host _ -> Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes)
+      ()
   in
   let series =
     List.map
@@ -215,20 +226,11 @@ let fig8 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(lane_counts = [ 1; 2; 4; 8 ])
 let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(total_ops = 1920)
     () : (string * (float * float) list) list * string =
   let series_for ~indexed ~guard_cache =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
+    vm_sweep ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
+      ~configure:(fun host _ ->
         Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor indexed;
-        Monitor.set_guard_cache_enabled monitor guard_cache;
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+        guarded_policy host ~rules ~indexed ~guard_cache)
+      ()
   in
   let series =
     [
@@ -1858,48 +1860,28 @@ let fig12 ?(batches = [ 16; 64; 256; 1024 ]) ?(seed = 83) () : fig12_point list 
    pile onto cold lanes' neighbours while idle lanes stay idle. Figure 13
    re-runs fig9's best configuration (1024 guarded rules, index + gen
    cache, same hosts/seeds/op budget) across placement policies and the
-   sharded manager: fixed-hash at the seed's 8 lanes, least-loaded and
-   work-stealing with one lane per VM, and group-per-tenant shards whose
+   sharded manager: fixed-hash at the seed's 8 lanes, least-loaded with
+   one lane per VM, and group-per-tenant shards (two lanes each) whose
    private frontends absorb the serial residue. *)
 
 let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lanes = 8)
     ?(total_ops = 1920) () : (string * (float * float) list) list * string =
   let series_for configure =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor true;
-        Monitor.set_guard_cache_enabled monitor true;
-        configure host n;
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+    vm_sweep ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
+      ~configure:(fun host n ->
+        guarded_policy host ~rules ~indexed:true ~guard_cache:true;
+        configure host n)
+      ()
   in
   let fixed host _n = Vtpm_mgr.Manager.set_lanes host.Host.mgr fixed_lanes in
   let least_loaded host n =
     Vtpm_mgr.Manager.set_lanes ~placement:Vtpm_util.Cost.Lanes.Least_loaded host.Host.mgr n
   in
-  let work_stealing host n =
-    Vtpm_mgr.Manager.set_lanes ~placement:Vtpm_util.Cost.Lanes.Work_stealing host.Host.mgr n
-  in
-  (* Two lanes per shard: with a single lane the pool's earliest-free
-     lane is the lane itself, so every exec drags the shared meter to its
-     own finish and the shards serialize through it — an artifact of the
-     one-meter simulation, not of sharding. A second lane keeps
-     [earliest_free] behind the busy lane and lets each shard's horizon
-     grow independently; elapsed time is then the slowest shard's
-     makespan, which is what a per-replica frontend would see. *)
-  let sharded host _n = ignore (Host.enable_sharding host ~lanes_per_shard:2 ()) in
+  let sharded host _n = ignore (Host.enable_sharding host ()) in
   let series =
     [
       (Printf.sprintf "fixed-hash %d-lane" fixed_lanes, series_for fixed);
       ("least-loaded", series_for least_loaded);
-      ("work-stealing", series_for work_stealing);
       ("sharded", series_for sharded);
     ]
   in
@@ -1951,7 +1933,7 @@ let shard_drill ~sharded ~flood_x ?(victims = 3) ?(victim_period_us = 3_000.0)
   let attacker = Host.create_guest_exn host ~name:"flooder" ~label:"tenant_99" () in
   if sharded then begin
     let registry =
-      Host.enable_sharding host ~lanes_per_shard:2
+      Host.enable_sharding host
         ~group_of:(fun (g : Host.guest) ->
           if g.Host.domid = attacker.Host.domid then "noisy" else "quiet")
         ()
@@ -2102,32 +2084,18 @@ let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table9_row list * string =
    index + gen-cache, group shards) under the three quote-cost profiles:
    the 2010 model (38 ms per quote), the container-measured schoolbook
    signer (~3.4 ms), and the container-measured Montgomery/CRT signer
-   (~0.34 ms). Only [Cost.quote_cost_us] differs between series; hosts,
+   (~0.34 ms). Only the hosts' quote profile differs between series;
    seeds and op budgets are identical, so the spread between curves is
    exactly the signature cost's share of the quote path. *)
 
 let fig14 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(total_ops = 1920) ()
     : (string * (float * float) list) list * string =
-  let series_for profile =
-    let saved = Vtpm_util.Cost.current_quote_profile () in
-    Vtpm_util.Cost.set_quote_profile profile;
-    Fun.protect ~finally:(fun () -> Vtpm_util.Cost.set_quote_profile saved) @@ fun () ->
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(70 + n) ()
-        in
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor true;
-        Monitor.set_guard_cache_enabled monitor true;
-        ignore (Host.enable_sharding host ~lanes_per_shard:2 ());
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r =
-          Workload.run host ~tenants ~mix:Workload.attestation_heavy ~ops_per_tenant ()
-        in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+  let series_for quote_profile =
+    vm_sweep ~quote_profile ~vm_counts ~total_ops ~seed_base:70 ~mix:Workload.attestation_heavy
+      ~configure:(fun host _ ->
+        guarded_policy host ~rules ~indexed:true ~guard_cache:true;
+        ignore (Host.enable_sharding host ()))
+      ()
   in
   let series =
     List.map

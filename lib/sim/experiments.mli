@@ -314,12 +314,12 @@ val fig13 :
   (string * (float * float) list) list * string
 (** Lane placement and manager sharding at scale: fig9's best
     configuration (guarded policy, index + gen-cache) re-run with
-    fixed-hash placement at the seed's 8 lanes, least-loaded and
-    work-stealing placement at one lane per VM, and group-per-tenant
-    manager shards whose private frontends absorb the per-request serial
-    residue. The fixed-hash series flatlines; work-stealing or sharding
-    must clear 3x its 64-VM throughput, with the sharded curve still
-    rising at 256 VMs. *)
+    fixed-hash placement at the seed's 8 lanes, least-loaded placement
+    at one lane per VM, and group-per-tenant manager shards whose
+    private frontends absorb the per-request serial residue. The
+    fixed-hash series flatlines; least-loaded placement or sharding must
+    clear 3x its 64-VM throughput, with the sharded curve still rising
+    at 256 VMs. *)
 
 type table9_row = {
   t9_config : string;
@@ -366,5 +366,6 @@ val fig14 :
     The 2010-model series reproduces the paper-era ceiling; the measured
     schoolbook and Montgomery/CRT series re-cost TPM_Quote from this
     container's Bechamel medians, so the gap between the last two curves
-    is the signature speedup's end-to-end effect. The default profile is
-    restored afterwards. *)
+    is the signature speedup's end-to-end effect. Each series builds its
+    hosts with its profile ({!Workload.make_host_with_tenants}
+    [?quote_profile]). *)

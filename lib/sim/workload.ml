@@ -141,8 +141,8 @@ let run_weighted (host : Host.t) ~(tenants : (Tenant.t * int) list) ~(mix : mix)
     tenants
 
 (* Convenience: build a host with [n] provisioned tenants. *)
-let make_host_with_tenants ~mode ~n ?(seed = 5) () : Host.t * Tenant.t list =
-  let host = Host.create ~mode ~seed ~rsa_bits:256 () in
+let make_host_with_tenants ~mode ~n ?(seed = 5) ?quote_profile () : Host.t * Tenant.t list =
+  let host = Host.create ~mode ~seed ~rsa_bits:256 ?quote_profile () in
   let tenants =
     List.init n (fun i ->
         Tenant.setup host ~name:(Printf.sprintf "tenant-%02d" i)

@@ -45,5 +45,11 @@ val run_weighted :
     per-tenant simulated service time. *)
 
 val make_host_with_tenants :
-  mode:Vtpm_access.Host.mode -> n:int -> ?seed:int -> unit -> Vtpm_access.Host.t * Tenant.t list
-(** A host with [n] provisioned tenants. *)
+  mode:Vtpm_access.Host.mode ->
+  n:int ->
+  ?seed:int ->
+  ?quote_profile:Vtpm_util.Cost.quote_profile ->
+  unit ->
+  Vtpm_access.Host.t * Tenant.t list
+(** A host with [n] provisioned tenants; [quote_profile] is passed to
+    {!Vtpm_access.Host.create}. *)

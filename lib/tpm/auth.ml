@@ -20,9 +20,6 @@ type kind = Oiap | Osap of { entity_handle : int; shared_secret : string }
 type session = {
   kind : kind;
   mutable nonce_even : string;
-  mutable prekey : (string * Hmac.prekey) option;
-      (* HMAC key pads, derived once per key and reused on every
-         authorized command in the session *)
 }
 
 type t = {
@@ -45,7 +42,7 @@ let start_oiap t =
   else begin
     let h = fresh_handle t in
     let nonce_even = Drbg.generate_nonce t.drbg in
-    Hashtbl.replace t.sessions h { kind = Oiap; nonce_even; prekey = None };
+    Hashtbl.replace t.sessions h { kind = Oiap; nonce_even };
     Ok (h, nonce_even)
   end
 
@@ -57,7 +54,7 @@ let start_osap t ~entity_handle ~usage_secret ~nonce_odd_osap =
     let nonce_even_osap = Drbg.generate_nonce t.drbg in
     let shared_secret = Hmac.sha1_mac ~key:usage_secret (nonce_even_osap ^ nonce_odd_osap) in
     Hashtbl.replace t.sessions h
-      { kind = Osap { entity_handle; shared_secret }; nonce_even; prekey = None };
+      { kind = Osap { entity_handle; shared_secret }; nonce_even };
     Ok (h, nonce_even, nonce_even_osap)
   end
 
@@ -96,20 +93,9 @@ let verify t ~(proof : proof) ~usage_secret ~entity_handle ~param_digest =
       match key with
       | Error e -> Error e
       | Ok key ->
-          (* OSAP keys never change; OIAP sessions may authorize objects
-             with different usage secrets, so the cached pads are keyed. *)
-          let pk =
-            match session.prekey with
-            | Some (k, pk) when String.equal k key -> pk
-            | _ ->
-                let pk = Hmac.sha1_prekey ~key in
-                session.prekey <- Some (key, pk);
-                pk
-          in
           let expected =
-            Hmac.mac_prekeyed pk
-              (hmac_input ~param_digest ~nonce_even:session.nonce_even
-                 ~nonce_odd:proof.nonce_odd ~continue:proof.continue)
+            compute_hmac ~key ~param_digest ~nonce_even:session.nonce_even
+              ~nonce_odd:proof.nonce_odd ~continue:proof.continue
           in
           if not (Hmac.equal_ct expected proof.hmac) then Error Types.tpm_authfail
           else begin

@@ -11,9 +11,6 @@ type kind = Oiap | Osap of { entity_handle : int; shared_secret : string }
 type session = {
   kind : kind;
   mutable nonce_even : string;
-  mutable prekey : (string * Vtpm_crypto.Hmac.prekey) option;
-      (** HMAC key pads, derived once per key and reused across the
-          session's authorized commands *)
 }
 
 type t

@@ -54,12 +54,11 @@ let with_redirect t sink f =
    busy-until always equals [now], so start = now, finish = now +. c, and
    the advance sets now = finish — the same float arithmetic. *)
 module Lanes = struct
-  type placement = Fixed_hash | Least_loaded | Work_stealing
+  type placement = Fixed_hash | Least_loaded
 
   let placement_name = function
     | Fixed_hash -> "fixed-hash"
     | Least_loaded -> "least-loaded"
-    | Work_stealing -> "work-stealing"
 
   type lane = {
     mutable busy_until_us : float;
@@ -70,13 +69,9 @@ module Lanes = struct
   type pool = {
     lanes : lane array;
     placement : placement;
-    (* Dynamic-policy state. [homes] pins each key to its current lane so a
-       burst from one instance stays serial; [key_finish] remembers the
-       key's last completion so migrating an instance to an idler lane can
-       never reorder its own commands. Both stay empty under [Fixed_hash]. *)
+    (* [Least_loaded] pins each key to its first lane so a burst from one
+       instance stays serial; stays empty under [Fixed_hash]. *)
     homes : (int, int) Hashtbl.t;
-    key_finish : (int, float) Hashtbl.t;
-    mutable steals : int;
   }
 
   let create ?(placement = Fixed_hash) n =
@@ -85,13 +80,9 @@ module Lanes = struct
       lanes = Array.init n (fun _ -> { busy_until_us = 0.0; busy_us = 0.0; executed = 0 });
       placement;
       homes = Hashtbl.create 16;
-      key_finish = Hashtbl.create 16;
-      steals = 0;
     }
 
   let count p = Array.length p.lanes
-  let placement p = p.placement
-  let steals p = p.steals
 
   let idlest p =
     let best = ref 0 in
@@ -105,71 +96,30 @@ module Lanes = struct
     | Fixed_hash ->
         let n = Array.length p.lanes in
         ((key mod n) + n) mod n
-    | Least_loaded | Work_stealing -> (
+    | Least_loaded -> (
         match Hashtbl.find_opt p.homes key with Some i -> i | None -> idlest p)
 
   let earliest_free p =
     Array.fold_left (fun acc l -> Float.min acc l.busy_until_us) infinity p.lanes
 
-  (* Placement decision for one charge of [key]. First touch lands on the
-     idlest lane under both dynamic policies; after that [Least_loaded]
-     keeps the home sticky while [Work_stealing] lets an idler lane steal
-     the whole instance — but only between charges, and only when the steal
-     actually starts this charge earlier than the current home would. *)
-  let place p meter ~key =
-    let prev =
-      match Hashtbl.find_opt p.key_finish key with Some f -> f | None -> 0.0
-    in
-    let start_on i =
-      Float.max (Float.max meter.now_us p.lanes.(i).busy_until_us) prev
-    in
-    let home =
-      match Hashtbl.find_opt p.homes key with
-      | None ->
-          let i = idlest p in
-          Hashtbl.replace p.homes key i;
-          i
-      | Some h -> (
-          match p.placement with
-          | Work_stealing ->
-              let i = idlest p in
-              if start_on i < start_on h then begin
-                p.steals <- p.steals + 1;
-                Hashtbl.replace p.homes key i;
-                i
-              end
-              else h
-          | Fixed_hash | Least_loaded -> h)
-    in
-    (home, start_on home)
-
+  (* One body for both policies. Under sticky homes a key's previous
+     finish is never past its home lane's horizon, so starting at
+     [max now busy_until] already keeps each instance's commands in FIFO
+     order. *)
   let exec p meter ~key us =
-    match p.placement with
-    | Fixed_hash ->
-        (* The seed charge model, byte for byte: same lane arithmetic, no
-           per-key bookkeeping. *)
-        let l = p.lanes.(lane_for p ~key) in
-        let start = Float.max meter.now_us l.busy_until_us in
-        let finish = start +. us in
-        l.busy_until_us <- finish;
-        l.busy_us <- l.busy_us +. us;
-        l.executed <- l.executed + 1;
-        meter.exec_seq <- meter.exec_seq + 1;
-        meter.last_completion_us <- finish;
-        advance_to meter (earliest_free p);
-        finish
-    | Least_loaded | Work_stealing ->
-        let i, start = place p meter ~key in
-        let l = p.lanes.(i) in
-        let finish = start +. us in
-        l.busy_until_us <- Float.max l.busy_until_us finish;
-        l.busy_us <- l.busy_us +. us;
-        l.executed <- l.executed + 1;
-        Hashtbl.replace p.key_finish key finish;
-        meter.exec_seq <- meter.exec_seq + 1;
-        meter.last_completion_us <- finish;
-        advance_to meter (earliest_free p);
-        finish
+    (match p.placement with
+    | Least_loaded when not (Hashtbl.mem p.homes key) -> Hashtbl.replace p.homes key (idlest p)
+    | Fixed_hash | Least_loaded -> ());
+    let l = p.lanes.(lane_for p ~key) in
+    let start = Float.max meter.now_us l.busy_until_us in
+    let finish = start +. us in
+    l.busy_until_us <- finish;
+    l.busy_us <- l.busy_us +. us;
+    l.executed <- l.executed + 1;
+    meter.exec_seq <- meter.exec_seq + 1;
+    meter.last_completion_us <- finish;
+    advance_to meter (earliest_free p);
+    finish
 
   (* Drain the pool: advance the meter to the busiest lane's completion so
      elapsed-time measurements include trailing lane work. No-op when every
@@ -238,12 +188,7 @@ let quote_profile_name = function
   | Quote_measured_schoolbook -> "measured-schoolbook"
   | Quote_measured -> "measured-crt"
 
-let quote_profile = ref Quote_model_2010
-let set_quote_profile p = quote_profile := p
-let current_quote_profile () = !quote_profile
-
-let quote_cost_us () =
-  match !quote_profile with
+let quote_cost_us = function
   | Quote_model_2010 -> tpm_quote_us
   | Quote_measured_schoolbook -> rsa_sign_schoolbook_us +. quote_digest_overhead_measured_us
   | Quote_measured -> rsa_sign_us +. quote_digest_overhead_measured_us

@@ -50,13 +50,8 @@ module Lanes : sig
         no per-key state. Hot instances can skew onto one lane.
       - [Least_loaded] places a key on the lane with the minimum horizon
         at first touch, then keeps it sticky, so one instance's commands
-        stay serial on its home lane.
-      - [Work_stealing] starts like [Least_loaded] but lets an idler lane
-        steal a whole instance between charges when doing so starts the
-        next charge strictly earlier. Per-instance FIFO order is
-        preserved: a migrated charge never starts before the instance's
-        previous completion. *)
-  type placement = Fixed_hash | Least_loaded | Work_stealing
+        stay serial on its home lane. *)
+  type placement = Fixed_hash | Least_loaded
 
   val placement_name : placement -> string
 
@@ -65,16 +60,11 @@ module Lanes : sig
       says otherwise); raises [Invalid_argument] if [n < 1]. *)
 
   val count : pool -> int
-  val placement : pool -> placement
-
-  val steals : pool -> int
-  (** Instances migrated between lanes so far (always 0 unless the pool
-      uses [Work_stealing]). *)
 
   val lane_for : pool -> key:int -> int
   (** Current lane for [key]: the fixed [key mod count] under
       [Fixed_hash], the key's sticky home (or the lane a first touch
-      would pick) under the dynamic policies. *)
+      would pick) under [Least_loaded]. *)
 
   val exec : pool -> t -> key:int -> float -> float
   (** [exec pool meter ~key us] executes a command of cost [us] on the
@@ -147,12 +137,10 @@ val quote_digest_overhead_measured_us : float
 type quote_profile = Quote_model_2010 | Quote_measured_schoolbook | Quote_measured
 
 val quote_profile_name : quote_profile -> string
-val set_quote_profile : quote_profile -> unit
-val current_quote_profile : unit -> quote_profile
 
-val quote_cost_us : unit -> float
-(** Simulated cost of TPM_Quote under the current profile; equals
-    {!tpm_quote_us} under [Quote_model_2010]. *)
+val quote_cost_us : quote_profile -> float
+(** Simulated cost of TPM_Quote under a profile; equals {!tpm_quote_us}
+    under [Quote_model_2010]. *)
 
 val tpm_loadkey_us : float
 val tpm_nv_us : float

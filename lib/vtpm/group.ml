@@ -18,26 +18,24 @@ type shard = {
 }
 
 type t = {
-  placement : Cost.Lanes.placement; (* lane placement inside each shard *)
   lanes_per_shard : int;
   by_id : (int, shard) Hashtbl.t;
   by_label : (string, shard) Hashtbl.t;
   mutable next_id : int;
 }
 
-let create ?(placement = Cost.Lanes.Least_loaded) ?(lanes_per_shard = 1) () =
-  if lanes_per_shard < 1 then
-    invalid_arg "Group.create: need at least one lane per shard";
+(* A one-lane shard would drag the shared meter: its lane's horizon is
+   the pool's earliest-free point, so every charge advances the clock and
+   shards serialize instead of overlapping. *)
+let create ?(lanes_per_shard = 2) () =
+  if lanes_per_shard < 2 then
+    invalid_arg "Group.create: need at least two lanes per shard";
   {
-    placement;
     lanes_per_shard;
     by_id = Hashtbl.create 16;
     by_label = Hashtbl.create 16;
     next_id = 1;
   }
-
-let placement t = t.placement
-let lanes_per_shard t = t.lanes_per_shard
 
 (* Look up the shard for a tenant label, minting it on first sight. Group
    ids are dense and assigned in intern order, so a run's shard layout is
@@ -52,7 +50,7 @@ let intern t ~label =
         {
           group_id;
           label;
-          pool = Cost.Lanes.create ~placement:t.placement t.lanes_per_shard;
+          pool = Cost.Lanes.create ~placement:Cost.Lanes.Least_loaded t.lanes_per_shard;
           members = 0;
         }
       in
@@ -79,6 +77,3 @@ let sync t meter = Hashtbl.iter (fun _ s -> Cost.Lanes.sync s.pool meter) t.by_i
 
 let stats t =
   List.map (fun s -> (s.group_id, s.label, s.members, Cost.Lanes.stats s.pool)) (shards t)
-
-let steals t =
-  List.fold_left (fun acc s -> acc + Cost.Lanes.steals s.pool) 0 (shards t)

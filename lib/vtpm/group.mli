@@ -15,14 +15,11 @@ type shard = {
 
 type t
 
-val create :
-  ?placement:Vtpm_util.Cost.Lanes.placement -> ?lanes_per_shard:int -> unit -> t
-(** Fresh registry. [placement] (default [Least_loaded]) and
-    [lanes_per_shard] (default 1) apply to every shard pool it mints;
-    raises [Invalid_argument] if [lanes_per_shard < 1]. *)
-
-val placement : t -> Vtpm_util.Cost.Lanes.placement
-val lanes_per_shard : t -> int
+val create : ?lanes_per_shard:int -> unit -> t
+(** Fresh registry. Every shard pool it mints has [lanes_per_shard]
+    (default 2) [Least_loaded] lanes; raises [Invalid_argument] if
+    [lanes_per_shard < 2], because a one-lane shard serializes through
+    the shared meter instead of overlapping with the other shards. *)
 
 val intern : t -> label:string -> shard
 (** Shard for a tenant label, minted on first sight. Ids are dense and
@@ -46,6 +43,3 @@ val sync : t -> Vtpm_util.Cost.t -> unit
 
 val stats : t -> (int * string * int * (int * float) array) list
 (** Per shard: group id, label, members, per-lane (executed, busy_us). *)
-
-val steals : t -> int
-(** Total lane steals across all shard pools. *)

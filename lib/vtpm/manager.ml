@@ -33,6 +33,7 @@ type t = {
   cost : Vtpm_util.Cost.t;
   mutable seed : int;
   creation_seed : int; (* seed at [create] time; never bumped *)
+  quote_profile : Vtpm_util.Cost.quote_profile; (* prices TPM_Quote *)
   mutable lanes : Vtpm_util.Cost.Lanes.pool;
   mutable shards : Group.t option;
       (* vTPM group registry: when set, grouped instances execute on
@@ -49,7 +50,8 @@ type t = {
    vTPM state is bound to it, so a tampered manager cannot unseal. *)
 let manager_pcr = 12
 
-let create ?(rsa_bits = 512) ~seed ~(cost : Vtpm_util.Cost.t) () =
+let create ?(rsa_bits = 512) ?(quote_profile = Vtpm_util.Cost.Quote_model_2010) ~seed
+    ~(cost : Vtpm_util.Cost.t) () =
   let hw_tpm = Engine.create ~rsa_bits ~seed () in
   let hw_owner_auth = Vtpm_crypto.Sha1.digest (Printf.sprintf "hw-owner-%d" seed) in
   let hw_srk_auth = Vtpm_crypto.Sha1.digest (Printf.sprintf "hw-srk-%d" seed) in
@@ -77,6 +79,7 @@ let create ?(rsa_bits = 512) ~seed ~(cost : Vtpm_util.Cost.t) () =
     cost;
     seed;
     creation_seed = seed;
+    quote_profile;
     lanes = Vtpm_util.Cost.Lanes.create 1;
     shards = None;
     hw_faults = None;
@@ -110,21 +113,12 @@ let set_lanes ?placement t n =
 
 let lane_count t = Vtpm_util.Cost.Lanes.count t.lanes
 let lane_of t ~vtpm_id = Vtpm_util.Cost.Lanes.lane_for (pool_for_id t vtpm_id) ~key:vtpm_id
-let lane_placement t = Vtpm_util.Cost.Lanes.placement t.lanes
-let lane_steals t = Vtpm_util.Cost.Lanes.steals t.lanes
 
 (* True when re-homing work onto the instance's own lane changes anything:
-   its pool can overlap work, or it executes on a shard pool (where even a
-   single lane must not leak charges onto the global meter). The
-   supervisor keys lane-aware recovery off this, per instance. *)
-let parallel_for t ~vtpm_id =
-  match Hashtbl.find_opt t.instances vtpm_id with
-  | Some inst ->
-      let grouped =
-        match t.shards with Some _ -> inst.group_id <> 0 | None -> false
-      in
-      grouped || Vtpm_util.Cost.Lanes.count (pool_for t inst) > 1
-  | None -> Vtpm_util.Cost.Lanes.count t.lanes > 1
+   its pool can overlap work. Shard pools always can ([Group.create]
+   refuses single-lane shards). The supervisor keys lane-aware recovery
+   off this, per instance. *)
+let parallel_for t ~vtpm_id = Vtpm_util.Cost.Lanes.count (pool_for_id t vtpm_id) > 1
 
 let sync_lanes t =
   Vtpm_util.Cost.Lanes.sync t.lanes t.cost;
@@ -319,14 +313,14 @@ let route_for_domid t domid =
       | None -> None)
 
 (* Simulated execution cost of a TPM command, charged per dispatch. *)
-let command_cost ordinal =
+let command_cost t ordinal =
   let open Vtpm_util.Cost in
   if ordinal = Types.ord_extend then tpm_extend_us
   else if ordinal = Types.ord_pcr_read then tpm_pcr_read_us
   else if ordinal = Types.ord_get_random then tpm_get_random_us
   else if ordinal = Types.ord_seal then tpm_seal_us
   else if ordinal = Types.ord_unseal then tpm_unseal_us
-  else if ordinal = Types.ord_quote then quote_cost_us ()
+  else if ordinal = Types.ord_quote then quote_cost_us t.quote_profile
   else if ordinal = Types.ord_load_key2 || ordinal = Types.ord_create_wrap_key then tpm_loadkey_us
   else if
     ordinal = Types.ord_nv_read_value || ordinal = Types.ord_nv_write_value
@@ -350,7 +344,7 @@ let execute_wire t (inst : instance) ~(wire : string) : (string, Vtpm_util.Verro
            instances on different lanes overlap in simulated time. *)
         ignore
           (Vtpm_util.Cost.Lanes.exec (pool_for t inst) t.cost ~key:inst.vtpm_id
-             (command_cost (Cmd.ordinal req)));
+             (command_cost t (Cmd.ordinal req)));
         let resp = Engine.execute inst.engine ~locality:0 req in
         Ok (Wire.encode_response resp))
 

@@ -33,6 +33,7 @@ type t = {
   cost : Vtpm_util.Cost.t;
   mutable seed : int;
   creation_seed : int;  (** seed at [create] time; never bumped *)
+  quote_profile : Vtpm_util.Cost.quote_profile;  (** prices TPM_Quote *)
   mutable lanes : Vtpm_util.Cost.Lanes.pool;
   mutable shards : Group.t option;
       (** vTPM group registry: when set, grouped instances execute on
@@ -49,9 +50,16 @@ val manager_pcr : int
 (** Hardware-TPM PCR holding the manager's own measurement; sealed vTPM
     state binds to it, so a tampered manager cannot unseal. *)
 
-val create : ?rsa_bits:int -> seed:int -> cost:Vtpm_util.Cost.t -> unit -> t
+val create :
+  ?rsa_bits:int ->
+  ?quote_profile:Vtpm_util.Cost.quote_profile ->
+  seed:int ->
+  cost:Vtpm_util.Cost.t ->
+  unit ->
+  t
 (** Initializes the hardware TPM: startup, ownership, manager
-    measurement. *)
+    measurement. [quote_profile] (default [Quote_model_2010]) prices
+    this manager's TPM_Quote commands. *)
 
 val find : t -> int -> (instance, Vtpm_util.Verror.t) result
 val create_instance : t -> instance
@@ -91,14 +99,10 @@ val lane_of : t -> vtpm_id:int -> int
 (** Current lane of the instance, within its own pool (shard pool when
     grouped). *)
 
-val lane_placement : t -> Vtpm_util.Cost.Lanes.placement
-val lane_steals : t -> int
-
 val parallel_for : t -> vtpm_id:int -> bool
 (** True when re-homing work onto the instance's own lane changes
-    anything: its pool (shard pool when grouped) has more than one lane,
-    or it is grouped at all — a shard must not leak charges onto the
-    global meter even with a single lane. *)
+    anything: its pool (shard pool when grouped, always at least two
+    lanes) has more than one lane. *)
 
 val lane_stats : t -> (int * float) array
 (** Per lane of the manager-wide pool: commands executed and total busy
@@ -165,8 +169,8 @@ val route_for_domid : t -> Vtpm_xen.Domain.domid -> (int * instance) option
 (** O(1) shard-aware frontend routing: (group_id, instance) for a bound
     domid, group_id 0 when unsharded. *)
 
-val command_cost : int -> float
-(** Simulated execution cost of a TPM ordinal. *)
+val command_cost : t -> int -> float
+(** Simulated execution cost of a TPM ordinal on this manager. *)
 
 val execute_wire : t -> instance -> wire:string -> (string, Vtpm_util.Verror.t) result
 (** Run one TPM wire request on an instance (guest locality 0), charging

@@ -208,7 +208,7 @@ let degraded_service t (e : entry) ~wire =
           (* The shadow read occupies the instance's execution lane, like
              the live command it stands in for (with one lane this is a
              plain global charge). *)
-          Manager.charge_lane t.mgr ~vtpm_id:e.vtpm_id (Manager.command_cost ordinal);
+          Manager.charge_lane t.mgr ~vtpm_id:e.vtpm_id (Manager.command_cost t.mgr ordinal);
           Ok (Wire.encode_response (Engine.execute shadow ~locality:0 req))
       | _ ->
           e.degraded_rejects <- e.degraded_rejects + 1;

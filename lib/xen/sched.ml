@@ -104,78 +104,6 @@ let tick t ~slice_us : Domain.domid option =
       charge t ~domid ~us:slice_us;
       Some domid
 
-(* Parallel-lane accounting: with [n] execution lanes, up to [n] distinct
-   runnable domains receive a slice in the same wall-clock step. The
-   period advances by one slice of wall time — not [n] slices — because
-   the lanes run concurrently; each picked domain is charged a full slice
-   of consumed CPU. Highest-credit-first with domid tie-break keeps the
-   pick order deterministic. *)
-let pick_n t ~n : Domain.domid list =
-  if n < 1 then invalid_arg "Sched.pick_n: need at least one lane";
-  let ranked =
-    List.filter (runnable t) t.vcpus
-    |> List.stable_sort (fun a b ->
-           match Float.compare b.credit a.credit with
-           | 0 -> Stdlib.compare a.domid b.domid
-           | c -> c)
-  in
-  List.filteri (fun i _ -> i < n) ranked |> List.map (fun v -> v.domid)
-
-let tick_n t ~slice_us ~n : Domain.domid list =
-  let picked = pick_n t ~n in
-  List.iter
-    (fun domid ->
-      match find t domid with
-      | Some v ->
-          v.credit <- v.credit -. slice_us;
-          v.runtime_us <- v.runtime_us +. slice_us;
-          v.period_runtime_us <- v.period_runtime_us +. slice_us
-      | None -> ())
-    picked;
-  advance_period t ~us:slice_us;
-  picked
-
-(* Sharded-host accounting: each vTPM group owns its own lane pool, so a
-   wall-clock step runs up to [lanes_per_group] distinct runnable domains
-   from every group — no global lane count throttles one group because
-   another is busy. Same credit-descending, domid tie-break ranking as
-   [pick_n]; a group's overflow simply waits for the next step. *)
-let pick_grouped t ~group_of ~lanes_per_group : Domain.domid list =
-  if lanes_per_group < 1 then
-    invalid_arg "Sched.pick_grouped: need at least one lane per group";
-  let ranked =
-    List.filter (runnable t) t.vcpus
-    |> List.stable_sort (fun a b ->
-           match Float.compare b.credit a.credit with
-           | 0 -> Stdlib.compare a.domid b.domid
-           | c -> c)
-  in
-  let taken = Hashtbl.create 8 in
-  List.filter_map
-    (fun v ->
-      let g = group_of v.domid in
-      let used = match Hashtbl.find_opt taken g with Some n -> n | None -> 0 in
-      if used >= lanes_per_group then None
-      else begin
-        Hashtbl.replace taken g (used + 1);
-        Some v.domid
-      end)
-    ranked
-
-let tick_grouped t ~slice_us ~group_of ~lanes_per_group : Domain.domid list =
-  let picked = pick_grouped t ~group_of ~lanes_per_group in
-  List.iter
-    (fun domid ->
-      match find t domid with
-      | Some v ->
-          v.credit <- v.credit -. slice_us;
-          v.runtime_us <- v.runtime_us +. slice_us;
-          v.period_runtime_us <- v.period_runtime_us +. slice_us
-      | None -> ())
-    picked;
-  advance_period t ~us:slice_us;
-  picked
-
 (* Run the scheduler for [total_us] in [slice_us] steps; returns each
    domain's share of the time actually handed out. *)
 let shares t ~total_us ~slice_us : (Domain.domid * float) list =

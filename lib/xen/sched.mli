@@ -41,35 +41,6 @@ val tick : t -> slice_us:float -> Domain.domid option
 (** Pick the runnable domain with the most credit and charge it one
     slice; [None] when every domain is capped out this period. *)
 
-val pick_n : t -> n:int -> Domain.domid list
-(** The up-to-[n] runnable domains with the most credit (ties broken by
-    domid), charging nothing — the domains the [n] execution lanes would
-    serve this step. @raise Invalid_argument if [n < 1]. *)
-
-val tick_n : t -> slice_us:float -> n:int -> Domain.domid list
-(** Parallel-lane step: charge each of {!pick_n}'s domains a full slice
-    of consumed CPU while the accounting period advances by only one
-    slice of wall time (the lanes run concurrently). [tick_n ~n:1]
-    accounts like {!tick}. *)
-
-val pick_grouped :
-  t -> group_of:(Domain.domid -> int) -> lanes_per_group:int -> Domain.domid list
-(** The runnable domains a sharded manager would serve this step: up to
-    [lanes_per_group] per group (as classified by [group_of]), taken in
-    the same credit-descending, domid tie-break order as {!pick_n} —
-    one group's backlog never throttles another's lanes. Charges
-    nothing. @raise Invalid_argument if [lanes_per_group < 1]. *)
-
-val tick_grouped :
-  t ->
-  slice_us:float ->
-  group_of:(Domain.domid -> int) ->
-  lanes_per_group:int ->
-  Domain.domid list
-(** Sharded parallel step: charge each of {!pick_grouped}'s domains a
-    full slice while the accounting period advances by one slice of wall
-    time (the shards run concurrently). *)
-
 val shares : t -> total_us:float -> slice_us:float -> (Domain.domid * float) list
 (** Run for [total_us] and report each domain's fraction of granted
     time. *)

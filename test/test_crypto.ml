@@ -128,39 +128,6 @@ let test_sha_scratch_isolation () =
     (Vtpm_util.Hex.encode (Sha1.digest "hello world"))
     (Vtpm_util.Hex.encode (Sha1.finalize ctx1))
 
-(* Precomputed HMAC pads: [mac_prekeyed (derive h ~key)] == [mac h ~key]
-   across short, block-sized and longer-than-block keys. *)
-let prop_hmac_prekeyed_matches_plain =
-  QCheck.Test.make ~name:"hmac prekeyed == plain" ~count:200
-    (QCheck.pair QCheck.string QCheck.string)
-    (fun (key, msg) ->
-      String.equal (Hmac.mac_prekeyed (Hmac.sha1_prekey ~key) msg) (Hmac.sha1_mac ~key msg)
-      && String.equal
-           (Hmac.mac_prekeyed (Hmac.sha256_prekey ~key) msg)
-           (Hmac.sha256_mac ~key msg))
-
-let test_hmac_prekeyed_vectors () =
-  (* The RFC vectors again, through the precomputed-pad path; the 80-byte
-     key exercises the long-key pre-hash inside [derive]. *)
-  check_s "rfc2202 tc1 prekeyed" "b617318655057264e28bc0b6fb378c8ef146be00"
-    (Vtpm_util.Hex.encode
-       (Hmac.mac_prekeyed (Hmac.sha1_prekey ~key:(String.make 20 '\x0b')) "Hi There"));
-  check_s "rfc2202 tc6 prekeyed" "aa4ae5e15272d00e95705637ce8a3b55ed402112"
-    (Vtpm_util.Hex.encode
-       (Hmac.mac_prekeyed
-          (Hmac.sha1_prekey ~key:(String.make 80 '\xaa'))
-          "Test Using Larger Than Block-Size Key - Hash Key First"));
-  let pk = Hmac.sha256_prekey ~key:"Jefe" in
-  check_s "rfc4231 tc2 prekeyed" "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Vtpm_util.Hex.encode (Hmac.mac_prekeyed pk "what do ya want for nothing?"));
-  (* One prekey, many messages — the amortized use pattern. *)
-  List.iter
-    (fun msg ->
-      check_s ("reused prekey: " ^ msg)
-        (Vtpm_util.Hex.encode (Hmac.sha256_mac ~key:"Jefe" msg))
-        (Vtpm_util.Hex.encode (Hmac.mac_prekeyed pk msg)))
-    [ ""; "a"; String.make 100 'b' ]
-
 (* --- Bignum ------------------------------------------------------------------------ *)
 
 let bn = Bignum.of_int
@@ -621,8 +588,6 @@ let suite =
     Alcotest.test_case "hmac equal_ct" `Quick test_hmac_equal_ct;
     Alcotest.test_case "sha ctx reset/reuse" `Quick test_sha_ctx_reset_reuse;
     Alcotest.test_case "sha scratch isolation" `Quick test_sha_scratch_isolation;
-    Alcotest.test_case "hmac prekeyed vectors" `Quick test_hmac_prekeyed_vectors;
-    QCheck_alcotest.to_alcotest prop_hmac_prekeyed_matches_plain;
     Alcotest.test_case "bignum basics" `Quick test_bignum_basics;
     Alcotest.test_case "bignum compare" `Quick test_bignum_compare;
     Alcotest.test_case "bignum add/sub" `Quick test_bignum_add_sub;

@@ -198,36 +198,6 @@ let test_wedge_quarantine_confined_to_lane () =
   | Ok _ -> ()
   | Error _ | (exception Driver.Denied _) -> invalid_arg "bystander degraded"
 
-(* --- Parallel scheduler accounting --------------------------------------------- *)
-
-let test_sched_tick_n_fair_shares () =
-  let s = Vtpm_xen.Sched.create () in
-  List.iter (fun d -> Vtpm_xen.Sched.add s ~domid:d ~weight:256 ()) [ 1; 2; 3 ];
-  let picked = Vtpm_xen.Sched.pick_n s ~n:2 in
-  check_i "two lanes pick two domains" 2 (List.length picked);
-  check_b "picks are distinct" true
-    (List.sort_uniq compare picked = List.sort compare picked);
-  let steps = 3000 and slice = 100.0 in
-  for _ = 1 to steps do
-    ignore (Vtpm_xen.Sched.tick_n s ~slice_us:slice ~n:2)
-  done;
-  let rt d =
-    match Vtpm_xen.Sched.find s d with
-    | Some v -> v.Vtpm_xen.Sched.runtime_us
-    | None -> 0.0
-  in
-  let total = rt 1 +. rt 2 +. rt 3 in
-  check_f "two full slices handed out per wall slice" (2.0 *. slice *. float_of_int steps)
-    total;
-  List.iter
-    (fun d ->
-      let share = rt d /. total in
-      check_b
-        (Printf.sprintf "domain %d share %.3f within 5%% of 1/3" d share)
-        true
-        (Float.abs (share -. (1.0 /. 3.0)) < 0.05 /. 3.0))
-    [ 1; 2; 3 ]
-
 (* --- Bugfix regressions --------------------------------------------------------- *)
 
 let test_domid_index_matches_linear_scan () =
@@ -361,8 +331,6 @@ let suite =
       test_flood_goodput_with_lanes_and_batching;
     Alcotest.test_case "supervisor: wedge confined to one lane" `Quick
       test_wedge_quarantine_confined_to_lane;
-    Alcotest.test_case "sched: tick_n fair parallel shares" `Quick
-      test_sched_tick_n_fair_shares;
     Alcotest.test_case "manager: domid index equals linear scan" `Quick
       test_domid_index_matches_linear_scan;
     Alcotest.test_case "quota: remaining never allocates" `Quick

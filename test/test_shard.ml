@@ -1,6 +1,7 @@
-(* Tests for lane placement policies and manager sharding (PR 9): the
-   fixed-hash bit-identity property, per-instance FIFO under work
-   stealing, the least-loaded horizon bound on seeded workloads, the
+(* Tests for lane placement policies and manager sharding: the
+   fixed-hash and least-loaded bit-identity properties against frozen
+   reference models, the least-loaded horizon bound on seeded workloads,
+   the default shard lane count, the
    set_lanes horizon-carry and lane_stats self-sync regressions, the
    naive-pick rotor starvation fix, group registry/routing, the
    per-group quota, the group audit tag, and a small-scale isolation
@@ -48,26 +49,50 @@ let prop_fixed_hash_bit_identical =
       List.iter (fun (key, us) -> ignore (Lanes.exec pool meter ~key us)) jobs;
       Vtpm_util.Cost.now meter = ref_now && Lanes.horizons pool = ref_busy)
 
-(* Satellite 4b: work stealing migrates instances only between commands,
-   so each key's completions stay strictly ordered (FIFO per instance). *)
-let prop_ws_preserves_per_instance_order =
-  QCheck.Test.make ~name:"Work_stealing preserves per-instance FIFO" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         pair (int_range 1 4)
-           (list_size (int_bound 80)
-              (pair (int_range 0 5) (float_range 1.0 2_000.0)))))
-    (fun (lanes, jobs) ->
+(* Frozen reference model of the least-loaded arithmetic with its
+   per-key finish table: home pinned to the idlest lane at first touch,
+   start clamped to the key's previous finish, horizon raised with
+   [Float.max]. The implementation shares the fixed-hash body instead,
+   which is only sound if neither the clamp nor the max can ever bind
+   under sticky homes. *)
+let reference_least_loaded ~lanes jobs =
+  let busy = Array.make lanes 0.0 in
+  let homes = Hashtbl.create 8 and key_finish = Hashtbl.create 8 in
+  let meter = Vtpm_util.Cost.create () in
+  let finishes = ref [] in
+  List.iter
+    (fun (key, us) ->
+      let home =
+        match Hashtbl.find_opt homes key with
+        | Some h -> h
+        | None ->
+            let best = ref 0 in
+            for i = 1 to lanes - 1 do
+              if busy.(i) < busy.(!best) then best := i
+            done;
+            Hashtbl.replace homes key !best;
+            !best
+      in
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt key_finish key) in
+      let start = Float.max (Float.max (Vtpm_util.Cost.now meter) busy.(home)) prev in
+      let finish = start +. us in
+      busy.(home) <- Float.max busy.(home) finish;
+      Hashtbl.replace key_finish key finish;
+      finishes := finish :: !finishes;
+      Vtpm_util.Cost.advance_to meter (Array.fold_left Float.min infinity busy))
+    jobs;
+  (Vtpm_util.Cost.now meter, busy, List.rev !finishes)
+
+let prop_least_loaded_bit_identical =
+  QCheck.Test.make ~name:"Least_loaded bit-identical to frozen model" ~count:200
+    (QCheck.make job_gen) (fun (lanes, jobs) ->
+      let ref_now, ref_busy, ref_finishes = reference_least_loaded ~lanes jobs in
       let meter = Vtpm_util.Cost.create () in
-      let pool = Lanes.create ~placement:Lanes.Work_stealing lanes in
-      let last = Hashtbl.create 8 in
-      List.for_all
-        (fun (key, us) ->
-          let finish = Lanes.exec pool meter ~key us in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt last key) in
-          Hashtbl.replace last key finish;
-          finish > prev)
-        jobs)
+      let pool = Lanes.create ~placement:Lanes.Least_loaded lanes in
+      let finishes = List.map (fun (key, us) -> Lanes.exec pool meter ~key us) jobs in
+      Vtpm_util.Cost.now meter = ref_now
+      && Lanes.horizons pool = ref_busy
+      && finishes = ref_finishes)
 
 (* Satellite 4c: least-loaded never ends with a worse makespan than the
    fixed hash on skewed workloads. This is NOT a theorem (greedy
@@ -96,20 +121,6 @@ let test_ll_horizon_bounded_by_fh () =
         (ll <= fh))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
-let test_ws_steals_under_skew () =
-  let meter = Vtpm_util.Cost.create () in
-  let pool = Lanes.create ~placement:Lanes.Work_stealing 2 in
-  (* key 1 -> lane 0, key 2 -> lane 1, key 3 lands on lane 1 (idlest) and
-     buries it; key 2's next command then finds lane 0 strictly earlier
-     than its home and migrates. *)
-  ignore (Lanes.exec pool meter ~key:1 100.0);
-  ignore (Lanes.exec pool meter ~key:2 10.0);
-  ignore (Lanes.exec pool meter ~key:3 1_000.0);
-  check_i "no steal yet" 0 (Lanes.steals pool);
-  let finish = Lanes.exec pool meter ~key:2 10.0 in
-  check_i "one steal" 1 (Lanes.steals pool);
-  check_f "stolen command starts on the idler lane" 110.0 finish
-
 let test_fixed_hash_never_migrates () =
   let meter = Vtpm_util.Cost.create () in
   let pool = Lanes.create 3 in
@@ -120,8 +131,7 @@ let test_fixed_hash_never_migrates () =
         (Printf.sprintf "key %d pinned" key)
         (((key mod 3) + 3) mod 3)
         (Lanes.lane_for pool ~key))
-    [ 0; 1; 2; 3; 4; 5; 17; -4 ];
-  check_i "fixed hash never steals" 0 (Lanes.steals pool)
+    [ 0; 1; 2; 3; 4; 5; 17; -4 ]
 
 (* --- Manager regressions ------------------------------------------------------- *)
 
@@ -204,11 +214,32 @@ let test_group_registry_basics () =
   check_i "two shards" 2 (Group.count g);
   check_b "find_label" true (Group.find_label g "globex" = Some b);
   check_b "audit tag" true (String.equal (Group.audit_tag a) "group:acme");
-  check_b "lanes_per_shard < 1 rejected" true
-    (try
-       ignore (Group.create ~lanes_per_shard:0 ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun lanes_per_shard ->
+      check_b
+        (Printf.sprintf "lanes_per_shard %d rejected" lanes_per_shard)
+        true
+        (try
+           ignore (Group.create ~lanes_per_shard ());
+           false
+         with Invalid_argument _ -> true))
+    [ 0; 1 ]
+
+(* With one lane per shard, the lane is its pool's earliest-free point,
+   so each charge drags the shared meter to its finish and the shards
+   serialize. The default pool must let two shards overlap. *)
+let test_default_shards_overlap () =
+  let host = Host.create ~mode:Host.Improved_mode ~seed:23 ~rsa_bits:256 () in
+  let a = Host.create_guest_exn host ~name:"a0" ~label:"acme" () in
+  let b = Host.create_guest_exn host ~name:"b0" ~label:"globex" () in
+  ignore (Host.enable_sharding host ());
+  let mgr = host.Host.mgr in
+  Manager.sync_lanes mgr;
+  let t0 = Host.now_us host in
+  Manager.charge_lane mgr ~vtpm_id:a.Host.vtpm_id 1_000.0;
+  Manager.charge_lane mgr ~vtpm_id:b.Host.vtpm_id 1_000.0;
+  Manager.sync_lanes mgr;
+  check_f "two shards' charges overlap" 1_000.0 (Host.now_us host -. t0)
 
 let test_sharded_routing_and_members () =
   let host = Host.create ~mode:Host.Improved_mode ~seed:17 ~rsa_bits:256 () in
@@ -312,7 +343,7 @@ let test_fig13_shape_small () =
     | Some points -> ( match List.assoc_opt x points with Some y -> y | None -> 0.0)
     | None -> 0.0
   in
-  check_b "all four series present" true (List.length series = 4);
+  check_b "all three series present" true (List.length series = 3);
   check_b "dynamic placement beats fixed hash at 16 VMs" true
     (at "least-loaded" 16.0 > at "fixed-hash 8-lane" 16.0);
   check_b "sharded scales past fixed hash at 16 VMs" true
@@ -331,13 +362,11 @@ let suite =
             Lanes.sync pool meter;
             check_f (Lanes.placement_name placement ^ " serial") 150.0
               (Vtpm_util.Cost.now meter))
-          [ Lanes.Fixed_hash; Lanes.Least_loaded; Lanes.Work_stealing ]);
+          [ Lanes.Fixed_hash; Lanes.Least_loaded ]);
     QCheck_alcotest.to_alcotest prop_fixed_hash_bit_identical;
-    QCheck_alcotest.to_alcotest prop_ws_preserves_per_instance_order;
+    QCheck_alcotest.to_alcotest prop_least_loaded_bit_identical;
     Alcotest.test_case "least-loaded horizon <= fixed-hash (seeded)" `Quick
       test_ll_horizon_bounded_by_fh;
-    Alcotest.test_case "work stealing migrates between charges" `Quick
-      test_ws_steals_under_skew;
     Alcotest.test_case "fixed hash never migrates" `Quick test_fixed_hash_never_migrates;
     Alcotest.test_case "set_lanes carries in-flight horizons" `Quick
       test_set_lanes_carries_horizons;
@@ -345,6 +374,7 @@ let suite =
     Alcotest.test_case "naive pick rotates exact-arrival ties" `Quick
       test_fifo_rotor_shares_ties;
     Alcotest.test_case "group registry basics" `Quick test_group_registry_basics;
+    Alcotest.test_case "default shards overlap in time" `Quick test_default_shards_overlap;
     Alcotest.test_case "sharded routing, members, shard pools" `Quick
       test_sharded_routing_and_members;
     Alcotest.test_case "group audit tag on allowed requests" `Quick

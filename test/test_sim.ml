@@ -188,12 +188,27 @@ let test_experiment_fig4_shape () =
    hard-coding it, and the measured quote profiles re-cost the quote
    path. Neither may move a single byte of the pre-existing figures:
    these hashes were captured from the seed tables before the overhaul
-   landed, and the derived constant must equal the seed's exactly. *)
+   landed, and the derived constant must equal the seed's exactly.
+
+   fig9, fig13 and fig14 are frozen the same way at a reduced scale,
+   captured before the shared sweep body and the single lane-execution
+   path replaced their per-figure copies. fig13 is frozen on its series
+   values (exact float bits), not its rendered table, because the table
+   lost its work-stealing column. *)
+
+let series_digest series =
+  Vtpm_crypto.Sha256.hexdigest
+    (String.concat ";"
+       (List.map
+          (fun (name, pts) ->
+            name ^ ":"
+            ^ String.concat "," (List.map (fun (x, y) -> Printf.sprintf "%h/%h" x y) pts))
+          series))
 
 let test_seed_figures_frozen () =
   check_f "tpm_quote_us derivation exact" 38_000.0 Vtpm_util.Cost.tpm_quote_us;
-  check_b "default profile is the 2010 model" true
-    (Vtpm_util.Cost.current_quote_profile () = Vtpm_util.Cost.Quote_model_2010);
+  check_f "2010 profile prices quotes at the seed constant" Vtpm_util.Cost.tpm_quote_us
+    (Vtpm_util.Cost.quote_cost_us Vtpm_util.Cost.Quote_model_2010);
   let _, fig1 = Vtpm_sim.Experiments.fig1 () in
   let _, fig8 = Vtpm_sim.Experiments.fig8 () in
   Alcotest.(check string)
@@ -203,16 +218,29 @@ let test_seed_figures_frozen () =
   Alcotest.(check string)
     "fig8 rendered table unchanged"
     "8770cc791e1108fa57b5d2593a7089b4b3f2306b257915461bbbf8c1bb1dd99b"
-    (Vtpm_crypto.Sha256.hexdigest fig8)
+    (Vtpm_crypto.Sha256.hexdigest fig8);
+  let _, fig9 = Vtpm_sim.Experiments.fig9 ~vm_counts:[ 2; 8; 32 ] ~total_ops:480 () in
+  Alcotest.(check string)
+    "fig9 rendered table unchanged (reduced scale)"
+    "64284284eb587c87bc34154d5378fdacf94d2df45c5cfd7f1bcaca2fbd90353a"
+    (Vtpm_crypto.Sha256.hexdigest fig9);
+  let fig13, _ = Vtpm_sim.Experiments.fig13 ~vm_counts:[ 8; 32 ] ~total_ops:480 () in
+  Alcotest.(check (list string))
+    "fig13 series" [ "fixed-hash 8-lane"; "least-loaded"; "sharded" ] (List.map fst fig13);
+  Alcotest.(check string)
+    "fig13 series unchanged (reduced scale)"
+    "4f7809846f52d23597ee6c491153285c7e6a0a96d5a0711d24b25765945c2e47" (series_digest fig13);
+  let _, fig14 = Vtpm_sim.Experiments.fig14 ~vm_counts:[ 8; 32 ] ~total_ops:256 () in
+  Alcotest.(check string)
+    "fig14 rendered table unchanged (reduced scale)"
+    "b7319591eab49a9ff2ec1413661d30027990d18ce55723792f7756367e400d0a"
+    (Vtpm_crypto.Sha256.hexdigest fig14)
 
 let test_fig14_shape () =
-  (* Small-scale: the measured-crt series must dominate, and the profile
-     switch must be restored afterwards. *)
+  (* Small-scale: the measured-crt series must dominate. *)
   let series, rendered =
     Vtpm_sim.Experiments.fig14 ~vm_counts:[ 4; 8 ] ~rules:64 ~total_ops:64 ()
   in
-  check_b "default profile restored" true
-    (Vtpm_util.Cost.current_quote_profile () = Vtpm_util.Cost.Quote_model_2010);
   let get name = List.assoc name series in
   List.iter2
     (fun (_, slow) (_, fast) -> check_b "measured-crt beats 2010 model" true (fast > slow))
