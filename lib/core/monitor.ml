@@ -448,6 +448,9 @@ let group_suffix t vtpm_id =
           | None -> ""
           | Some s -> ";" ^ Vtpm_mgr.Group.audit_tag s))
 
+(* Unsharded hosts have no group tag: skip the copy. *)
+let with_tag reason gtag = if gtag = "" then reason else reason ^ gtag
+
 (* --- The wire-request router (installed into the vTPM backend) ----------- *)
 
 let router t : Vtpm_mgr.Driver.router =
@@ -473,19 +476,19 @@ let router t : Vtpm_mgr.Driver.router =
           match decide t ~subject ~ordinal ~binding:(Some b) with
           | Policy.Deny, reason ->
               audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:(reason ^ gtag);
+                ~allowed:false ~reason:(with_tag reason gtag);
               Error (Printf.sprintf "policy denied %s (%s)" op_name reason)
           | Policy.Allow, _ when not (quota_ok t subject) ->
               audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:("rate-limited" ^ gtag);
+                ~allowed:false ~reason:(with_tag "rate-limited" gtag);
               Error (Printf.sprintf "rate limit exceeded for %s" (Subject.to_string subject))
           | Policy.Allow, _ when not (group_quota_ok t b.Binding.vtpm_id) ->
               audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:("group-rate-limited" ^ gtag);
+                ~allowed:false ~reason:(with_tag "group-rate-limited" gtag);
               Error (Printf.sprintf "group rate limit exceeded for %s" (Subject.to_string subject))
           | Policy.Allow, reason -> (
               let reason = if mismatch then reason ^ ";claimed-id-mismatch" else reason in
-              let reason = reason ^ gtag in
+              let reason = with_tag reason gtag in
               audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
                 ~allowed:true ~reason;
               (* A PCR-mutating command changes what the measurement gate

@@ -273,18 +273,25 @@ let mod_pow_schoolbook ~modulus base exp =
 
 (* Montgomery arithmetic for odd moduli. Every RSA private operation is a
    long chain of multiplications mod the same n; schoolbook [mod_mul] pays
-   a full Knuth-D division per product. REDC replaces the division with two
-   half-products and a shift: with R = 2^(30k) for a k-limb modulus,
-   mont_mul computes a*b*R^-1 mod m in one fused interleaved pass (CIOS),
-   so only the entry (to Montgomery form) and exit (final REDC by 1) touch
-   [divmod] at all. *)
+   a full Knuth-D division per product. REDC replaces the division with
+   multiply-accumulates and a shift: with R = 2^(30k) for a k-limb modulus,
+   mont_mul computes a*b*R^-1 mod m in one fused pass (CIOS), so only the
+   context setup (R^2 mod m) and the entry reduction touch [divmod]. *)
 module Montgomery = struct
+  (* Plain data, no closures: keys that embed a context keep structural
+     equality. *)
   type ctx = {
     m : t; (* odd modulus, also the limb array of length k *)
     k : int;
     m0' : int; (* -m^-1 mod 2^30, for the REDC quotient digit *)
-    r2 : t; (* R^2 mod m: multiplying by it (via mont_mul) enters Montgomery form *)
+    r2 : int array; (* R^2 mod m zero-extended to k limbs: mont_mul by it enters Montgomery form *)
   }
+
+  (* Zero-extend a value < m to [n] limbs. *)
+  let widen n (a : t) =
+    let out = Array.make n 0 in
+    Array.blit a 0 out 0 (Array.length a);
+    out
 
   let ctx ~modulus:(m : t) =
     if is_zero m || is_even m then invalid_arg "Bignum.Montgomery.ctx: modulus must be odd";
@@ -298,68 +305,59 @@ module Montgomery = struct
       inv := (!inv * (2 - (m0 * !inv))) land limb_mask
     done;
     let m0' = (limb_base - !inv) land limb_mask in
-    let r2 = rem (shift_left one (2 * k * limb_bits)) m in
+    let r2 = widen k (rem (shift_left one (2 * k * limb_bits)) m) in
     { m; k; m0'; r2 }
 
-  (* CIOS: out <- a*b*R^-1 mod m. [a], [b], [out] are k-limb arrays with
-     values < m; [tmp] is (k+2)-limb scratch. Each inner step accumulates
-     limb + 30x30-bit product + carry, staying under 2^62. The running
-     value is < 2m throughout, so one conditional subtraction at the end
-     lands the result < m. *)
-  let mont_mul c (a : int array) (b : int array) (out : int array) (tmp : int array) =
+  (* Fused CIOS: t <- a*b*R^-1 mod m. [a] and [b] hold values < m in their
+     low k limbs; [t] is a distinct (k+1)-limb buffer, and on return its
+     top limb is zero. Round i adds a_i*b + u*m to the running value and
+     drops its (zero) low limb, with u chosen from t[0] + a_i*b[0] before
+     the inner loop. Each inner step sums a limb, two 30x30-bit products
+     and a carry below 2^32: under 2^61 + 2^32 < 2^62, inside a native int.
+     The running value stays < 2m, so t[k] is 0 or 1 and one conditional
+     subtraction lands the result < m. Only [mod_pow] calls this, with
+     buffers it sized itself, hence the unchecked accesses. *)
+  let mont_mul c (a : int array) (b : int array) (t : int array) =
     let k = c.k and m = c.m and m0' = c.m0' in
-    Array.fill tmp 0 (k + 2) 0;
+    Array.fill t 0 (k + 1) 0;
+    let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
     for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let carry = ref 0 in
-      for j = 0 to k - 1 do
-        let x = tmp.(j) + (ai * b.(j)) + !carry in
-        tmp.(j) <- x land limb_mask;
-        carry := x lsr limb_bits
-      done;
-      let x = tmp.(k) + !carry in
-      tmp.(k) <- x land limb_mask;
-      tmp.(k + 1) <- tmp.(k + 1) + (x lsr limb_bits);
-      let u = (tmp.(0) * m0') land limb_mask in
-      let x0 = tmp.(0) + (u * m.(0)) in
-      let carry = ref (x0 lsr limb_bits) in
+      let ai = Array.unsafe_get a i in
+      let x0 = Array.unsafe_get t 0 + (ai * b0) in
+      let u = ((x0 land limb_mask) * m0') land limb_mask in
+      let carry = ref ((x0 + (u * m0)) lsr limb_bits) in
       for j = 1 to k - 1 do
-        let x = tmp.(j) + (u * m.(j)) + !carry in
-        tmp.(j - 1) <- x land limb_mask;
+        let x =
+          Array.unsafe_get t j + (ai * Array.unsafe_get b j) + (u * Array.unsafe_get m j) + !carry
+        in
+        Array.unsafe_set t (j - 1) (x land limb_mask);
         carry := x lsr limb_bits
       done;
-      let x = tmp.(k) + !carry in
-      tmp.(k - 1) <- x land limb_mask;
-      tmp.(k) <- tmp.(k + 1) + (x lsr limb_bits);
-      tmp.(k + 1) <- 0
+      let x = Array.unsafe_get t k + !carry in
+      Array.unsafe_set t (k - 1) (x land limb_mask);
+      Array.unsafe_set t k (x lsr limb_bits)
     done;
     let ge =
-      tmp.(k) > 0
+      t.(k) > 0
       ||
-      let rec cmp i = if i < 0 then true else if tmp.(i) <> m.(i) then tmp.(i) > m.(i) else cmp (i - 1) in
+      let rec cmp i = if i < 0 then true else if t.(i) <> m.(i) then t.(i) > m.(i) else cmp (i - 1) in
       cmp (k - 1)
     in
     if ge then begin
       let borrow = ref 0 in
       for j = 0 to k - 1 do
-        let d = tmp.(j) - m.(j) - !borrow in
+        let d = t.(j) - m.(j) - !borrow in
         if d < 0 then begin
-          out.(j) <- d + limb_base;
+          t.(j) <- d + limb_base;
           borrow := 1
         end
         else begin
-          out.(j) <- d;
+          t.(j) <- d;
           borrow := 0
         end
-      done
+      done;
+      t.(k) <- 0
     end
-    else Array.blit tmp 0 out 0 k
-
-  (* Zero-extend a value < m to the fixed k-limb width mont_mul expects. *)
-  let limbs k (a : t) =
-    let out = Array.make k 0 in
-    Array.blit a 0 out 0 (Array.length a);
-    out
 
   (* Sliding-window size by exponent width: the odd-powers table costs
      2^(w-1) mont_muls up front and saves roughly one multiply per w-1
@@ -374,33 +372,35 @@ module Montgomery = struct
       let base = rem base c.m in
       if is_zero base then zero
       else begin
-        let scratch = Array.make (k + 2) 0 in
-        let tmp = Array.make k 0 in
-        let g = Array.make k 0 in
-        mont_mul c (limbs k base) (limbs k c.r2) g scratch;
+        (* Every working buffer is k+1 limbs, the width mont_mul writes. *)
+        let buf () = Array.make (k + 1) 0 in
+        let g = buf () in
+        mont_mul c (widen k base) c.r2 g;
         let w = window_bits e_bits in
         (* tbl.(i) = g^(2i+1) in Montgomery form. *)
-        let tbl = Array.init (1 lsl (w - 1)) (fun _ -> Array.make k 0) in
-        Array.blit g 0 tbl.(0) 0 k;
-        let g2 = Array.make k 0 in
-        mont_mul c g g g2 scratch;
-        for i = 1 to Array.length tbl - 1 do
-          mont_mul c tbl.(i - 1) g2 tbl.(i) scratch
-        done;
-        let acc = Array.make k 0 in
+        let tbl = Array.make (1 lsl (w - 1)) g in
+        if w > 1 then begin
+          let g2 = buf () in
+          mont_mul c g g g2;
+          for i = 1 to Array.length tbl - 1 do
+            let x = buf () in
+            mont_mul c tbl.(i - 1) g2 x;
+            tbl.(i) <- x
+          done
+        end;
+        (* Each product lands in [spare], which then becomes [acc]. *)
+        let acc = ref (buf ()) and spare = ref (buf ()) in
+        let step b =
+          let a = !acc in
+          mont_mul c a b !spare;
+          acc := !spare;
+          spare := a
+        in
         let started = ref false in
-        let square () =
-          mont_mul c acc acc tmp scratch;
-          Array.blit tmp 0 acc 0 k
-        in
-        let mult i =
-          mont_mul c acc tbl.(i) tmp scratch;
-          Array.blit tmp 0 acc 0 k
-        in
         let i = ref (e_bits - 1) in
         while !i >= 0 do
           if not (test_bit exp !i) then begin
-            if !started then square ();
+            if !started then step !acc;
             decr i
           end
           else begin
@@ -417,62 +417,36 @@ module Montgomery = struct
             done;
             if !started then begin
               for _ = 1 to !i - !j + 1 do
-                square ()
+                step !acc
               done;
-              mult (!v lsr 1)
+              step tbl.(!v lsr 1)
             end
             else begin
-              Array.blit tbl.(!v lsr 1) 0 acc 0 k;
+              Array.blit tbl.(!v lsr 1) 0 !acc 0 (k + 1);
               started := true
             end;
             i := !j - 1
           end
         done;
         (* Exit Montgomery form: multiply by 1 is a bare REDC. *)
-        let onek = Array.make k 0 in
-        onek.(0) <- 1;
-        mont_mul c acc onek tmp scratch;
-        normalize tmp
+        let one_k = buf () in
+        one_k.(0) <- 1;
+        step one_k;
+        normalize !acc
       end
     end
 end
 
-(* Montgomery context cache, keyed by physical equality of the modulus.
-   RSA signing exponentiates repeatedly against the same limb arrays (the
-   key's p, q and n), and context setup is dominated by the Knuth-D
-   division computing R^2 mod m — without the cache every CRT signature
-   pays three of those divisions. Physical equality is sound because limb
-   arrays are never mutated after construction (all Bignum operations
-   allocate fresh results); a value-equal but distinct array only costs a
-   redundant context. Round-robin replacement over a handful of slots is
-   plenty: a signing workload touches three moduli per key. *)
-let mont_cache : (t * Montgomery.ctx) option array = Array.make 8 None
-let mont_slot = ref 0
-
-let mont_ctx modulus =
-  let rec find i =
-    if i >= Array.length mont_cache then None
-    else
-      match mont_cache.(i) with
-      | Some (m, c) when m == modulus -> Some c
-      | _ -> find (i + 1)
-  in
-  match find 0 with
-  | Some c -> c
-  | None ->
-      let c = Montgomery.ctx ~modulus in
-      mont_cache.(!mont_slot) <- Some (modulus, c);
-      mont_slot := (!mont_slot + 1) land (Array.length mont_cache - 1);
-      c
-
-(* Modular exponentiation: Montgomery + sliding window for odd moduli
-   (every RSA modulus and prime factor), schoolbook square-and-multiply
-   otherwise. Results are bit-identical across the two paths. *)
+(* Modular exponentiation: Montgomery + sliding window for odd moduli,
+   schoolbook square-and-multiply otherwise. Results are bit-identical
+   across the two paths. Callers that exponentiate repeatedly against one
+   modulus (RSA keys) hold a [Montgomery.ctx] instead of paying its setup
+   here on every call. *)
 let mod_pow ~modulus base exp =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
   else if is_even modulus then mod_pow_schoolbook ~modulus base exp
-  else Montgomery.mod_pow (mont_ctx modulus) base exp
+  else Montgomery.mod_pow (Montgomery.ctx ~modulus) base exp
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -500,32 +474,57 @@ let mod_inverse ~modulus:m a =
   let a = rem a m in
   if is_zero a then None else go m zero false a one false
 
-(* Big-endian byte-string conversions (the TPM wire format for keys). *)
+(* Big-endian byte-string conversions (the TPM wire format for keys), one
+   linear bit-packing pass each: a native-int bit buffer collects bytes
+   (from the string's end) into 30-bit limbs, or limbs into bytes. The
+   buffer never holds more than 8 + 30 bits. *)
 let of_bytes_be (s : string) : t =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let out = Array.make (((len * 8) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and li = ref 0 in
+  for pos = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s pos) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      out.(!li) <- !acc land limb_mask;
+      incr li;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits
+    end
+  done;
+  if !bits > 0 then out.(!li) <- !acc;
+  normalize out
 
+(* Write the low [len] bytes of [a] big-endian into [out.(0 .. len-1)],
+   zero-filling above the value's top limb. *)
+let blit_be (a : t) (out : Bytes.t) len =
+  let acc = ref 0 and bits = ref 0 and li = ref 0 in
+  for pos = len - 1 downto 0 do
+    if !bits < 8 then begin
+      if !li < Array.length a then acc := !acc lor (a.(!li) lsl !bits);
+      incr li;
+      bits := !bits + limb_bits
+    end;
+    Bytes.unsafe_set out pos (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    bits := !bits - 8
+  done
+
+let byte_length (a : t) = if is_zero a then 1 else (num_bits a + 7) / 8
+
+(* Minimal width; zero encodes as one zero byte. *)
 let to_bytes_be (a : t) : string =
-  if is_zero a then "\x00"
-  else begin
-    let n = (num_bits a + 7) / 8 in
-    let out = Bytes.create n in
-    let v = ref a in
-    for i = n - 1 downto 0 do
-      let byte = match to_int_opt (rem !v (of_int 256)) with Some b -> b | None -> assert false in
-      Bytes.set out i (Char.chr byte);
-      v := shift_right !v 8
-    done;
-    Bytes.unsafe_to_string out
-  end
+  let n = byte_length a in
+  let out = Bytes.create n in
+  blit_be a out n;
+  Bytes.unsafe_to_string out
 
 (* Fixed-width big-endian encoding, left-padded with zeros. *)
 let to_bytes_be_padded (a : t) ~width =
-  let s = to_bytes_be a in
-  let n = String.length s in
-  if n > width then invalid_arg "Bignum.to_bytes_be_padded: value too wide"
-  else String.make (width - n) '\x00' ^ s
+  if byte_length a > width then invalid_arg "Bignum.to_bytes_be_padded: value too wide";
+  let out = Bytes.create width in
+  blit_be a out width;
+  Bytes.unsafe_to_string out
 
 let to_hex a = Vtpm_util.Hex.encode (to_bytes_be a)
 
@@ -578,8 +577,9 @@ let is_probable_prime ?(rounds = 16) rng (n : t) =
       (* n - 1 = d * 2^s with d odd *)
       let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
       let d, s = split n_minus_1 0 in
+      let c = Montgomery.ctx ~modulus:n in
       let witness a =
-        let x = ref (mod_pow ~modulus:n a d) in
+        let x = ref (Montgomery.mod_pow c a d) in
         if equal !x one || equal !x n_minus_1 then false
         else begin
           let composite = ref true in

@@ -61,9 +61,9 @@ val mod_mul : t -> t -> t -> t
 
 val mod_pow : modulus:t -> t -> t -> t
 (** [mod_pow ~modulus base exp]. Odd moduli (every RSA modulus and prime
-    factor) go through Montgomery REDC with sliding-window exponentiation;
-    even moduli fall back to {!mod_pow_schoolbook}. Both paths return
-    bit-identical results. *)
+    factor) go through Montgomery REDC with sliding-window exponentiation,
+    building a fresh {!Montgomery.ctx} per call; even moduli fall back to
+    {!mod_pow_schoolbook}. Both paths return bit-identical results. *)
 
 val mod_pow_schoolbook : modulus:t -> t -> t -> t
 (** Reference square-and-multiply via {!mod_mul} (one full division per
@@ -71,11 +71,13 @@ val mod_pow_schoolbook : modulus:t -> t -> t -> t
     before/after micro-benchmarks. *)
 
 (** Montgomery arithmetic for odd moduli: build a {!Montgomery.ctx} once
-    per modulus and amortize the REDC setup across an exponentiation
-    chain. [mod_pow] above wraps this; the RSA CRT path builds one ctx per
-    prime factor. *)
+    per modulus and amortize its setup (one division for R{^2} mod m)
+    across exponentiations. [Rsa.key] stores one per prime factor and
+    one for the modulus. *)
 module Montgomery : sig
   type ctx
+  (** Plain immutable data (no closures), so values that embed a context
+      compare structurally. *)
 
   val ctx : modulus:t -> ctx
   (** @raise Invalid_argument when the modulus is even or <= 1. *)

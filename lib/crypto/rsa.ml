@@ -20,16 +20,26 @@ type key = {
   dp : Bignum.t;
   dq : Bignum.t;
   qinv : Bignum.t;
+  (* Montgomery contexts for p, q and n, built once per key so signing
+     pays no R^2 setup. Never serialized. *)
+  ctx_p : Bignum.Montgomery.ctx;
+  ctx_q : Bignum.Montgomery.ctx;
+  ctx_n : Bignum.Montgomery.ctx;
 }
 
 let default_e = Bignum.of_int 65537
 let modulus_bytes pub = (pub.bits + 7) / 8
 
+(* Raises [Invalid_argument] when p, q or n is even or <= 1. *)
+let make ~pub ~d ~p ~q ~dp ~dq ~qinv : key =
+  let ctx modulus = Bignum.Montgomery.ctx ~modulus in
+  { pub; d; p; q; dp; dq; qinv; ctx_p = ctx p; ctx_q = ctx q; ctx_n = ctx pub.n }
+
 let of_parts ~pub ~d ~p ~q : key =
   let dp = Bignum.rem d (Bignum.sub p Bignum.one) in
   let dq = Bignum.rem d (Bignum.sub q Bignum.one) in
   match Bignum.mod_inverse ~modulus:p q with
-  | Some qinv -> { pub; d; p; q; dp; dq; qinv }
+  | Some qinv -> make ~pub ~d ~p ~q ~dp ~dq ~qinv
   | None -> invalid_arg "Rsa.of_parts: p and q share a factor"
 
 let generate ?(bits = 512) (rng : Vtpm_util.Rng.t) : key =
@@ -88,7 +98,7 @@ let unpad_encrypt (s : string) =
 (* x^d mod n the slow way: one full-width exponentiation. Kept as the CRT
    fallback and for the differential tests. *)
 let private_op_plain (key : key) (x : Bignum.t) : Bignum.t =
-  Bignum.mod_pow ~modulus:key.pub.n x key.d
+  Bignum.Montgomery.mod_pow key.ctx_n x key.d
 
 (* x^d mod n via CRT: two half-width exponentiations (each ~4x cheaper than
    full-width, so ~4x total including Garner recombination). Before
@@ -97,8 +107,8 @@ let private_op_plain (key : key) (x : Bignum.t) : Bignum.t =
    a single bad signature (Boneh–DeMillo–Lipton), so on mismatch we discard
    the CRT value and redo the operation the plain way. *)
 let private_op (key : key) (x : Bignum.t) : Bignum.t =
-  let m1 = Bignum.mod_pow ~modulus:key.p (Bignum.rem x key.p) key.dp in
-  let m2 = Bignum.mod_pow ~modulus:key.q (Bignum.rem x key.q) key.dq in
+  let m1 = Bignum.Montgomery.mod_pow key.ctx_p x key.dp in
+  let m2 = Bignum.Montgomery.mod_pow key.ctx_q x key.dq in
   (* Garner: s = m2 + q * (qinv * (m1 - m2) mod p). *)
   let diff =
     if Bignum.compare m1 m2 >= 0 then Bignum.rem (Bignum.sub m1 m2) key.p
@@ -110,7 +120,7 @@ let private_op (key : key) (x : Bignum.t) : Bignum.t =
   let h = Bignum.mod_mul key.p key.qinv diff in
   let s = Bignum.add m2 (Bignum.mul h key.q) in
   let x_mod_n = Bignum.rem x key.pub.n in
-  if Bignum.equal (Bignum.mod_pow ~modulus:key.pub.n s key.pub.e) x_mod_n then s
+  if Bignum.equal (Bignum.Montgomery.mod_pow key.ctx_n s key.pub.e) x_mod_n then s
   else private_op_plain key x
 
 let sign (key : key) ~(digest : string) : string =
@@ -225,7 +235,7 @@ let key_of_bytes (s : string) : key option =
         let dp = big () in
         let dq = big () in
         let qinv = big () in
-        Some { pub; d; p; q; dp; dq; qinv }
+        Some (make ~pub ~d ~p ~q ~dp ~dq ~qinv)
     | _ -> None
   with
   | v -> v

@@ -9,7 +9,7 @@
 
 type public = { n : Bignum.t; e : Bignum.t; bits : int }
 
-type key = {
+type key = private {
   pub : public;
   d : Bignum.t;
   p : Bignum.t;
@@ -17,10 +17,13 @@ type key = {
   dp : Bignum.t;  (** d mod (p-1) *)
   dq : Bignum.t;  (** d mod (q-1) *)
   qinv : Bignum.t;  (** q{^ -1} mod p *)
+  ctx_p : Bignum.Montgomery.ctx;
+  ctx_q : Bignum.Montgomery.ctx;
+  ctx_n : Bignum.Montgomery.ctx;  (** Montgomery contexts, never serialized *)
 }
-(** Private keys carry the CRT precomputation; build them through
-    {!generate}, {!of_parts} or {!key_of_bytes} so the three derived fields
-    stay consistent with (d, p, q). *)
+(** Private keys carry the CRT precomputation and one Montgomery context
+    per modulus; build them through {!generate}, {!of_parts} or
+    {!key_of_bytes} so the derived fields stay consistent with (d, p, q). *)
 
 val default_e : Bignum.t
 (** 65537. *)
@@ -35,7 +38,8 @@ val generate : ?bits:int -> Vtpm_util.Rng.t -> key
 
 val of_parts : pub:public -> d:Bignum.t -> p:Bignum.t -> q:Bignum.t -> key
 (** Rebuild a key from its legacy components, recomputing dp/dq/qinv.
-    @raise Invalid_argument when p and q are not coprime (corrupt blob). *)
+    @raise Invalid_argument when p and q are not coprime, or p, q or n is
+    even or <= 1 (corrupt blob). *)
 
 (** {1 Signatures} *)
 

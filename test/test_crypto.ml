@@ -576,6 +576,85 @@ let test_montgomery_rejects_even () =
        (Bignum.mod_pow ~modulus:(Bignum.of_int 10) (Bignum.of_int 7) (Bignum.of_int 3))
        (Bignum.of_int 3))
 
+(* --- Fused kernel and linear conversions vs frozen references ----------------
+   [Bignum_ref] keeps the two-pass Montgomery kernel and the per-byte
+   conversions the live code replaced; every value, byte and exception
+   must match. *)
+
+let result_or_exn f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Every padding width from 0 (too narrow for any value) to two past the
+   input length, including the widths that raise. *)
+let bytes_match_reference s =
+  let v = Bignum.of_bytes_be s in
+  v = Bignum_ref.of_bytes_be s
+  && Bignum.to_bytes_be v = Bignum_ref.to_bytes_be v
+  && List.for_all
+       (fun width ->
+         result_or_exn (fun () -> Bignum.to_bytes_be_padded v ~width)
+         = result_or_exn (fun () -> Bignum_ref.to_bytes_be_padded v ~width))
+       (List.init (String.length s + 3) Fun.id)
+
+let test_bytes_every_length () =
+  for len = 0 to 130 do
+    List.iter
+      (fun (what, s) ->
+        check_b (Printf.sprintf "%s, %d bytes" what len) true (bytes_match_reference s))
+      [
+        ("all ones", String.make len '\xff');
+        ("high bit", String.init len (fun i -> if i = 0 then '\x80' else '\x00'));
+        ("leading zero", String.init len (fun i -> if i = 0 then '\x00' else Char.chr (i land 0xff)));
+      ]
+  done
+
+let prop_bytes_match_reference =
+  QCheck.Test.make ~name:"bytes conversions == frozen reference" ~count:400
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 0 130 >>= fun len ->
+         int_range 0 len >>= fun zeros ->
+         map (fun tail -> String.make zeros '\x00' ^ tail) (string_size (return (len - zeros)))))
+    bytes_match_reference
+
+(* Carry-heavy odd moduli 2^(30k) - r with small odd r: every limb but the
+   lowest is all ones, so the fused loop's carries run the full width. *)
+let gen_carry_heavy =
+  QCheck.Gen.(
+    int_range 1 18 >>= fun k ->
+    int_range 0 0xffff >>= fun r ->
+    let m = Bignum.sub (Bignum.shift_left Bignum.one (30 * k)) (Bignum.of_int ((2 * r) + 1)) in
+    let edge = [ Bignum.zero; Bignum.one; Bignum.sub m Bignum.one ] in
+    let big = map Bignum.of_bytes_be (string_size (int_range 1 ((30 * k / 8) + 2))) in
+    let ones = map (fun j -> Bignum.sub (Bignum.shift_left Bignum.one j) Bignum.one) (int_range 1 (30 * k)) in
+    triple (oneof [ oneofl edge; big ]) (oneof [ oneofl [ Bignum.zero; Bignum.one ]; ones; big ]) (return m))
+
+let prop_montgomery_matches_reference =
+  QCheck.Test.make ~name:"fused montgomery == two-pass reference" ~count:300
+    (QCheck.make gen_carry_heavy)
+    (fun (base, exp, m) ->
+      Bignum.mod_pow ~modulus:m base exp
+      = Bignum_ref.Montgomery.mod_pow (Bignum_ref.Montgomery.ctx ~modulus:m) base exp)
+
+(* The attest workload's shape: 16 keys signing round-robin, so no key's
+   state survives from its previous signature. *)
+let keys16 = lazy (Array.init 16 (fun i -> Rsa.generate ~bits:512 (Vtpm_util.Rng.create ~seed:(1000 + i))))
+
+let sign_reference (key : Rsa.key) ~digest =
+  let n = key.Rsa.pub.Rsa.n in
+  let m = Bignum_ref.of_bytes_be (Rsa.pad_signature key.Rsa.pub digest) in
+  let s = Bignum_ref.Montgomery.mod_pow (Bignum_ref.Montgomery.ctx ~modulus:n) m key.Rsa.d in
+  Bignum_ref.to_bytes_be_padded s ~width:(Rsa.modulus_bytes key.Rsa.pub)
+
+let prop_sign_16_keys_round_robin =
+  let next = ref 0 in
+  QCheck.Test.make ~name:"16-key round-robin sign == no-crt == reference" ~count:64
+    (QCheck.make QCheck.Gen.(string_size (return 20)))
+    (fun digest ->
+      let key = (Lazy.force keys16).(!next land 15) in
+      incr next;
+      let s = Rsa.sign key ~digest in
+      s = Rsa.sign_no_crt key ~digest && s = sign_reference key ~digest)
+
 let suite =
   [
     Alcotest.test_case "sha1 vectors" `Quick test_sha1_vectors;
@@ -638,4 +717,8 @@ let suite =
     Alcotest.test_case "rsa golden signatures" `Quick test_rsa_golden_signatures;
     Alcotest.test_case "rsa key codec versions" `Quick test_rsa_key_codec_versions;
     Alcotest.test_case "montgomery rejects even modulus" `Quick test_montgomery_rejects_even;
+    Alcotest.test_case "bytes == reference, lengths 0..130" `Quick test_bytes_every_length;
+    QCheck_alcotest.to_alcotest prop_bytes_match_reference;
+    QCheck_alcotest.to_alcotest prop_montgomery_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sign_16_keys_round_robin;
   ]
