@@ -179,9 +179,9 @@ let run_trace ?(seed = 7) (trace : trace) : report =
      table through journaled, breaker-guarded commits. *)
   let hw_faults = Faults.create ~seed:(seed + 101) () in
   Manager.set_hw_faults host.Host.mgr (Some hw_faults);
-  let svc = Anchor_svc.create ~ckpt host.Host.mgr in
-  Anchor_svc.set_audit svc (Some m.Monitor.audit);
-  (match Anchor_svc.attach_freshness svc fresh with
+  let svc = Anchor.create ~ckpt host.Host.mgr in
+  Anchor.set_audit svc (Some m.Monitor.audit);
+  (match Anchor.attach_freshness svc fresh with
   | Ok () -> ()
   | Error e -> invalid_arg ("fuzz: anchor-svc: " ^ Vtpm_util.Verror.to_string e));
   let victim = Host.create_guest_exn host ~name:"victim" ~label:"tenant_victim" () in
@@ -429,8 +429,8 @@ let run_trace ?(seed = 7) (trace : trace) : report =
         (* Legitimate anchor traffic through the service: under an armed
            hardware fault it may defer (bounded staleness), but a hard
            error means the fault discipline leaked a transient. *)
-        match Anchor.commit_via svc anchor m.Monitor.audit with
-        | Ok (Anchor_svc.Committed _ | Anchor_svc.Deferred _) -> ()
+        match Anchor.commit svc anchor ~data:(Audit.head m.Monitor.audit) with
+        | Ok (Anchor.Committed _ | Anchor.Deferred _) -> ()
         | Error e ->
             violation "anchor commit through the service failed hard: %s"
               (Vtpm_util.Verror.to_string e))
@@ -500,12 +500,12 @@ let run_trace ?(seed = 7) (trace : trace) : report =
      anchoring service must climb out of Down and drain its backlog. *)
   Faults.clear_schedules hw_faults;
   let recovery_rounds = ref 0 in
-  while Anchor_svc.health svc = Anchor_svc.Down && !recovery_rounds < 8 do
+  while Anchor.health svc = Anchor.Down && !recovery_rounds < 8 do
     incr recovery_rounds;
-    Vtpm_util.Cost.charge host.Host.mgr.Manager.cost Anchor_svc.default_config.Anchor_svc.cooldown_us;
-    Anchor_svc.tick svc
+    Vtpm_util.Cost.charge host.Host.mgr.Manager.cost Anchor.default_config.Anchor.cooldown_us;
+    Anchor.tick svc
   done;
-  if Anchor_svc.health svc = Anchor_svc.Down then
+  if Anchor.health svc = Anchor.Down then
     violation "anchor service still down after faults cleared (%d recovery rounds)" !recovery_rounds;
   (* Audit integrity, across rotation, against the hardware anchor. *)
   let audit = m.Monitor.audit in
@@ -515,18 +515,18 @@ let run_trace ?(seed = 7) (trace : trace) : report =
    with
   | Ok () -> ()
   | Error i -> violation "source audit chain broken at entry %d" i);
-  (match Anchor.commit_via svc anchor audit with
+  (match Anchor.commit svc anchor ~data:(Audit.head audit) with
   | Error e -> violation "anchor commit failed: %s" (Vtpm_util.Verror.to_string e)
-  | Ok (Anchor_svc.Deferred _) -> violation "final anchor commit deferred after recovery"
-  | Ok (Anchor_svc.Committed _) -> (
+  | Ok (Anchor.Deferred _) -> violation "final anchor commit deferred after recovery"
+  | Ok (Anchor.Committed _) -> (
       match Anchor.verify_log anchor host.Host.mgr ~svc audit with
       | Ok () -> ()
       | Error e -> violation "anchored audit verification failed: %s" (Vtpm_util.Verror.to_string e)));
-  if Anchor_svc.inflight svc <> 0 then
+  if Anchor.inflight svc <> 0 then
     violation "write-ahead journal not empty after the final commit: %d in flight"
-      (Anchor_svc.inflight svc);
-  if Anchor_svc.queue_depth svc <> 0 then
-    violation "deferred anchors left after recovery: %d" (Anchor_svc.queue_depth svc);
+      (Anchor.inflight svc);
+  if Anchor.queue_depth svc <> 0 then
+    violation "deferred anchors left after recovery: %d" (Anchor.queue_depth svc);
   (* Destination-side invariants, when a migration was attempted. *)
   (match !dest with
   | None -> ()
@@ -539,7 +539,7 @@ let run_trace ?(seed = 7) (trace : trace) : report =
        with
       | Ok () -> ()
       | Error i -> violation "destination audit chain broken at entry %d" i);
-      (match Anchor.commit danchor dh.Host.mgr daudit with
+      (match Vtpm_mgr.Hw_anchor.commit dh.Host.mgr danchor ~data:(Audit.head daudit) with
       | Error e -> violation "destination anchor commit failed: %s" (Vtpm_util.Verror.to_string e)
       | Ok _ -> (
           match Anchor.verify_log danchor dh.Host.mgr daudit with

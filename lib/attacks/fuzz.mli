@@ -29,7 +29,7 @@ type op =
   | Grant_revoke  (** ring grant force-revoked mid-connection *)
   | Rogue_mgmt  (** unauthenticated dom0 management call *)
   | Migration_bitflip of int  (** one bit flipped on the stream in the drain window *)
-  | Anchor_commit  (** legitimate audit-head anchor through {!Vtpm_access.Anchor_svc} *)
+  | Anchor_commit  (** legitimate audit-head anchor through {!Vtpm_access.Anchor} *)
   | Hw_fault of int
       (** arm a one-shot hardware-TPM fault (busy / stall / power loss /
           NV bit rot / reset) against the next chip round trip *)

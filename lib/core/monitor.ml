@@ -194,9 +194,9 @@ let set_freshness t f = t.freshness <- f
 
 (* Convenience: create a tracker over the manager and anchor its
    last-seen table in the hardware TPM. *)
-let enable_freshness ?nv_index t : (Vtpm_mgr.Freshness.t, string) result =
+let enable_freshness t : (Vtpm_mgr.Freshness.t, string) result =
   let f = Vtpm_mgr.Freshness.create t.mgr in
-  match Vtpm_mgr.Freshness.anchor_setup ?nv_index f with
+  match Vtpm_mgr.Freshness.anchor_setup f with
   | Error e -> Error (Vtpm_util.Verror.to_string e)
   | Ok () ->
       t.freshness <- Some f;

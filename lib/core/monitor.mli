@@ -125,7 +125,7 @@ val set_freshness : t -> Vtpm_mgr.Freshness.t option -> unit
     included — downgrade defense), and refusals land in the audit log as
     denials. [None] (the default) keeps the seed stream format. *)
 
-val enable_freshness : ?nv_index:int -> t -> (Vtpm_mgr.Freshness.t, string) result
+val enable_freshness : t -> (Vtpm_mgr.Freshness.t, string) result
 (** Create a freshness tracker over the manager, anchor its last-seen
     table in the hardware TPM, and install it. *)
 

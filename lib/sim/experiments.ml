@@ -1407,10 +1407,10 @@ let migration_drill ?(migrate = true) ?(flood_x = 10) ?(victims = 2)
         in
         (blocked, audited)
   in
-  (match Anchor.commit anchor_a a.Host.mgr ma.Monitor.audit with
+  (match Vtpm_mgr.Hw_anchor.commit a.Host.mgr anchor_a ~data:(Audit.head ma.Monitor.audit) with
   | Ok _ -> ()
   | Error e -> invalid_arg ("anchor A commit: " ^ Vtpm_util.Verror.to_string e));
-  (match Anchor.commit anchor_b b.Host.mgr mb.Monitor.audit with
+  (match Vtpm_mgr.Hw_anchor.commit b.Host.mgr anchor_b ~data:(Audit.head mb.Monitor.audit) with
   | Ok _ -> ()
   | Error e -> invalid_arg ("anchor B commit: " ^ Vtpm_util.Verror.to_string e));
   let anchor_src_ok = Anchor.verify_log anchor_a a.Host.mgr ma.Monitor.audit = Ok () in
@@ -1592,8 +1592,8 @@ let anchor_rig ~seed () =
     | Ok a -> a
     | Error e -> invalid_arg ("anchor rig: " ^ Vtpm_util.Verror.to_string e)
   in
-  let svc = Anchor_svc.create ~ckpt mgr in
-  Anchor_svc.set_audit svc (Some m.Monitor.audit);
+  let svc = Anchor.create ~ckpt mgr in
+  Anchor.set_audit svc (Some m.Monitor.audit);
   (host, m, mgr, ckpt, anchor, svc)
 
 type table8_row = {
@@ -1607,10 +1607,10 @@ type table8_row = {
 
 let crash_boundaries =
   [
-    (Anchor_svc.Before_nv_write, "before-nv-write");
-    (Anchor_svc.After_nv_write, "after-nv-write");
-    (Anchor_svc.After_journal_update, "after-journal (torn window)");
-    (Anchor_svc.After_increment, "after-increment");
+    (Anchor.Before_nv_write, "before-nv-write");
+    (Anchor.After_nv_write, "after-nv-write");
+    (Anchor.After_journal_update, "after-journal (torn window)");
+    (Anchor.After_increment, "after-increment");
   ]
 
 let torn_commit_drill ?(crashes = 3) ~seed (point, name) : table8_row =
@@ -1621,20 +1621,20 @@ let torn_commit_drill ?(crashes = 3) ~seed (point, name) : table8_row =
   for i = 1 to crashes do
     Audit.append audit ~subject:"drill" ~operation:"measure" ~instance:None ~allowed:true
       ~reason:(Printf.sprintf "%s entry %d" name i);
-    Anchor_svc.set_power_loss_at !svc (Some point);
-    (match Anchor.commit_via !svc anchor audit with
-    | exception Anchor_svc.Power_loss _ -> ()
+    Anchor.set_power_loss_at !svc (Some point);
+    (match Anchor.commit !svc anchor ~data:(Audit.head audit) with
+    | exception Anchor.Power_loss _ -> ()
     | Ok _ | Error _ -> invalid_arg ("torn-commit drill: power loss did not fire at " ^ name));
     (* Manager restart: a fresh service incarnation over the same durable
        store (the chip already power-cycled under the drill). *)
-    let svc2 = Anchor_svc.create ~ckpt mgr in
-    Anchor_svc.set_audit svc2 (Some audit);
-    (match Anchor_svc.recover svc2 with
+    let svc2 = Anchor.create ~ckpt mgr in
+    Anchor.set_audit svc2 (Some audit);
+    (match Anchor.recover svc2 with
     | Error e -> invalid_arg ("torn-commit drill: recover: " ^ Vtpm_util.Verror.to_string e)
     | Ok rep ->
-        repaired := !repaired + rep.Anchor_svc.rp_repaired;
-        completed := !completed + rep.Anchor_svc.rp_completed);
-    if Anchor_svc.inflight svc2 <> 0 then incr torn;
+        repaired := !repaired + rep.Anchor.rp_repaired;
+        completed := !completed + rep.Anchor.rp_completed);
+    if Anchor.inflight svc2 <> 0 then incr torn;
     (match Anchor.verify_log anchor mgr ~svc:svc2 audit with Ok () -> () | Error _ -> incr torn);
     svc := svc2
   done;
@@ -1686,40 +1686,40 @@ let anchor_storm ?(flood_x = 10) ?(commits = 40) ?(seed = 83) () : anchor_storm 
   for i = 1 to n do
     Audit.append audit ~subject:"storm" ~operation:"measure" ~instance:None ~allowed:true
       ~reason:(Printf.sprintf "op %d" i);
-    match Anchor.commit_via svc anchor audit with
-    | Ok (Anchor_svc.Committed _) -> incr committed
-    | Ok (Anchor_svc.Deferred _) -> incr deferred
+    match Anchor.commit svc anchor ~data:(Audit.head audit) with
+    | Ok (Anchor.Committed _) -> incr committed
+    | Ok (Anchor.Deferred _) -> incr deferred
     | Error _ -> incr hard
   done;
   (* Storm over: disarm the injector and let the breaker recover. *)
   Vtpm_mgr.Manager.set_hw_faults mgr None;
   let rounds = ref 0 in
-  while Anchor_svc.health svc = Anchor_svc.Down && !rounds < 8 do
+  while Anchor.health svc = Anchor.Down && !rounds < 8 do
     incr rounds;
-    Vtpm_util.Cost.charge (Host.cost host) Anchor_svc.default_config.Anchor_svc.cooldown_us;
-    Anchor_svc.tick svc
+    Vtpm_util.Cost.charge (Host.cost host) Anchor.default_config.Anchor.cooldown_us;
+    Anchor.tick svc
   done;
-  (match Anchor.commit_via svc anchor audit with
-  | Ok (Anchor_svc.Committed _) -> ()
-  | Ok (Anchor_svc.Deferred _) -> invalid_arg "anchor storm: final commit deferred after recovery"
+  (match Anchor.commit svc anchor ~data:(Audit.head audit) with
+  | Ok (Anchor.Committed _) -> ()
+  | Ok (Anchor.Deferred _) -> invalid_arg "anchor storm: final commit deferred after recovery"
   | Error e -> invalid_arg ("anchor storm: final commit: " ^ Vtpm_util.Verror.to_string e));
   let verify_ok = Anchor.verify_log anchor mgr ~svc audit = Ok () in
-  let st = Anchor_svc.stats svc in
+  let st = Anchor.stats svc in
   {
     as_commits = n;
     as_committed = !committed;
     as_deferred = !deferred;
     as_hard_errors = !hard;
-    as_breaker_opens = st.Anchor_svc.st_breaker_opens;
-    as_retries = st.Anchor_svc.st_retries;
-    as_stalls = st.Anchor_svc.st_stalls;
+    as_breaker_opens = st.Anchor.st_breaker_opens;
+    as_retries = st.Anchor.st_retries;
+    as_stalls = st.Anchor.st_stalls;
     as_power_cycles = mgr.Vtpm_mgr.Manager.hw_power_cycles;
-    as_repairs = st.Anchor_svc.st_repairs;
-    as_catchup_batches = st.Anchor_svc.st_catchup_batches;
-    as_catchup_entries = st.Anchor_svc.st_catchup_entries;
-    as_recovery_us = st.Anchor_svc.st_last_recovery_us;
+    as_repairs = st.Anchor.st_repairs;
+    as_catchup_batches = st.Anchor.st_catchup_batches;
+    as_catchup_entries = st.Anchor.st_catchup_entries;
+    as_recovery_us = st.Anchor.st_last_recovery_us;
     as_torn =
-      st.Anchor_svc.st_journal_inflight + Anchor_svc.queue_depth svc
+      Anchor.inflight svc + Anchor.queue_depth svc
       + (if verify_ok then 0 else 1);
     as_verify_ok = verify_ok;
   }
@@ -1781,43 +1781,42 @@ let fig12 ?(batches = [ 16; 64; 256; 1024 ]) ?(seed = 83) () : fig12_point list 
   let points =
     List.map
       (fun n ->
-        let host, _m, _mgr, _ckpt, anchor, svc = anchor_rig ~seed () in
+        let host, _m, _mgr, _ckpt, slot, svc = anchor_rig ~seed () in
         let cost = Host.cost host in
-        let slot = Anchor.slot_of anchor in
         let leaf i = Vtpm_crypto.Sha256.digest (Printf.sprintf "anchor-%d-%d" n i) in
         (* Naive: one NV write + counter bump per backlog entry. *)
         let t0 = Vtpm_util.Cost.now cost in
         for i = 1 to n do
-          match Anchor_svc.commit_sync svc slot ~data:(leaf i) with
+          match Anchor.commit_sync svc slot ~data:(leaf i) with
           | Ok _ -> ()
           | Error e -> invalid_arg ("fig12 naive: " ^ Vtpm_util.Verror.to_string e)
         done;
         let naive_us = Vtpm_util.Cost.now cost -. t0 in
         (* Merkle: breaker open, the same backlog deferred, one batched
            catch-up commit anchoring the root. *)
-        Anchor_svc.force_down svc;
+        Anchor.force_down svc;
         for i = 1 to n do
-          match Anchor_svc.commit svc slot ~data:(leaf i) ~defer_ok:true with
-          | Ok (Anchor_svc.Deferred _) -> ()
-          | Ok (Anchor_svc.Committed _) -> invalid_arg "fig12: commit not deferred while down"
+          match Anchor.commit svc slot ~data:(leaf i) with
+          | Ok (Anchor.Deferred _) -> ()
+          | Ok (Anchor.Committed _) -> invalid_arg "fig12: commit not deferred while down"
           | Error e -> invalid_arg ("fig12 defer: " ^ Vtpm_util.Verror.to_string e)
         done;
-        Vtpm_util.Cost.charge cost Anchor_svc.default_config.Anchor_svc.cooldown_us;
+        Vtpm_util.Cost.charge cost Anchor.default_config.Anchor.cooldown_us;
         let t1 = Vtpm_util.Cost.now cost in
-        Anchor_svc.tick svc;
+        Anchor.tick svc;
         let merkle_us = Vtpm_util.Cost.now cost -. t1 in
-        if Anchor_svc.health svc = Anchor_svc.Down then
+        if Anchor.health svc = Anchor.Down then
           invalid_arg "fig12: catch-up did not recover the breaker";
-        if Anchor_svc.queue_depth svc <> 0 then invalid_arg "fig12: backlog not drained";
+        if Anchor.queue_depth svc <> 0 then invalid_arg "fig12: backlog not drained";
         let root =
-          match Anchor_svc.read_slot svc slot ~length:Anchor.head_size with
+          match Anchor.read_slot svc slot with
           | Ok (nv, _) -> nv
           | Error e -> invalid_arg ("fig12 read: " ^ Vtpm_util.Verror.to_string e)
         in
         let proofs_ok =
           List.for_all
             (fun i ->
-              match Anchor_svc.proof_for svc ~label:slot.Anchor_svc.sl_label ~data:(leaf i) with
+              match Anchor.proof_for svc ~label:slot.Vtpm_mgr.Hw_anchor.label ~data:(leaf i) with
               | Some (r, p) -> String.equal r root && Merkle.verify ~root:r ~leaf:(leaf i) p
               | None -> false)
             [ 1; 1 + (n / 2); n ]

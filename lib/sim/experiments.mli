@@ -255,12 +255,12 @@ type table8_row = {
 }
 
 val torn_commit_drill :
-  ?crashes:int -> seed:int -> Vtpm_access.Anchor_svc.crash_point * string -> table8_row
+  ?crashes:int -> seed:int -> Vtpm_access.Anchor.crash_point * string -> table8_row
 (** Power loss injected at one commit boundary, [crashes] times, each
     followed by a service restart over the durable journal and a full
     repair + anchored verification. *)
 
-val crash_boundaries : (Vtpm_access.Anchor_svc.crash_point * string) list
+val crash_boundaries : (Vtpm_access.Anchor.crash_point * string) list
 
 type anchor_storm = {
   as_commits : int;  (** anchor commits attempted under the storm *)

@@ -64,6 +64,7 @@ let find t h =
   | None -> Error Types.tpm_invalid_authhandle
 
 let mem t h = Hashtbl.mem t.sessions h
+let handles t = List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) t.sessions [])
 let terminate t h = Hashtbl.remove t.sessions h
 let clear t = Hashtbl.reset t.sessions
 

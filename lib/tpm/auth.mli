@@ -31,6 +31,10 @@ val start_osap :
 
 val find : t -> int -> (session, int) result
 val mem : t -> int -> bool
+
+val handles : t -> int list
+(** Loaded session handles, ascending. *)
+
 val terminate : t -> int -> unit
 val clear : t -> unit
 

@@ -177,7 +177,7 @@ val hwtpm_srk_op_us : float
 
 (** {1 Hardware-TPM anchoring (the serial physical device)}
 
-    Charged by {!Vtpm_access.Anchor_svc} around each hardware round trip;
+    Charged by {!Vtpm_access.Anchor} around each hardware round trip;
     the raw manager transport stays free so pre-existing figures are
     unperturbed. TPM 1.2 NV writes and counter increments are slow
     (10–20 ms class) — exactly why Merkle-batched catch-up pays off. *)

@@ -15,14 +15,12 @@
    The last-seen table itself is the remaining rollback target: crash the
    destination, restore an older table, and old blobs become "fresh"
    again. So the table can be anchored in the hardware TPM exactly like
-   the audit chain head (owner-write NV space holding the table digest,
-   plus a monotonic hardware counter): a reloaded table that fails the
-   anchor check is discarded and imports fail closed until the operator
-   resyncs. *)
+   the audit chain head (a {!Hw_anchor} slot: owner-write NV space
+   holding the table digest, plus a monotonic hardware counter): a
+   reloaded table that fails the anchor check is discarded and imports
+   fail closed until the operator resyncs. *)
 
 open Vtpm_tpm
-
-type anchor = { nv_index : int; counter_handle : int; counter_auth : string }
 
 type router = {
   rt_commit : data:string -> (int, Vtpm_util.Verror.t) result;
@@ -39,11 +37,10 @@ type t = {
          restore floor. Kept apart from [issued] so a migration export
          (which also issues) doesn't strand the latest checkpoint as
          "stale" after an aborted handshake. *)
-  mutable anchor : anchor option;
-  mutable router : router option;
-      (* when set, anchor traffic is funneled through the anchoring
-         service (lib/core/anchor_svc) instead of raw hardware ops; lives
-         here as a record of closures because lib/vtpm cannot depend on
+  mutable anchor : (Hw_anchor.slot * router) option;
+      (* the slot, and the path its traffic takes: single-attempt
+         hardware ops from [anchor_setup], or the anchoring service once
+         it attaches — closures because lib/vtpm cannot depend on
          lib/core *)
   mutable accepted : int;
   mutable rejected : int;
@@ -56,15 +53,16 @@ let create (mgr : Manager.t) : t =
     last_seen = Hashtbl.create 16;
     ckpt_hwm = Hashtbl.create 16;
     anchor = None;
-    router = None;
     accepted = 0;
     rejected = 0;
   }
 
-let set_router t r = t.router <- r
+let set_router t r =
+  match t.anchor with
+  | None -> invalid_arg "Freshness.set_router: tracker is not anchored"
+  | Some (slot, _) -> t.anchor <- Some (slot, r)
 
-let anchor_slot t =
-  Option.map (fun a -> (a.nv_index, a.counter_handle, a.counter_auth)) t.anchor
+let anchor_slot t = Option.map fst t.anchor
 
 let lineage (engine : Engine.t) : string =
   Vtpm_crypto.Rsa.fingerprint engine.Engine.ek.Keystore.rsa.pub
@@ -78,31 +76,13 @@ let anchored t = t.anchor <> None
 
 (* --- Hardware anchoring of the last-seen table ---------------------------
 
-   Same construction as the audit anchor (lib/core/anchor.ml): the table
-   digest goes into an owner-write NV space, and a hardware monotonic
-   counter is bumped on every commit so a missing commit is detectable.
-   A distinct NV index keeps the two anchors from clobbering each other
-   when both are in use on one platform. *)
-
-let default_nv_index = 0x1A0E
-let digest_size = 32
+   A {!Hw_anchor} slot, like the audit anchor: the table digest goes
+   into an owner-write NV space, and a hardware monotonic counter is
+   bumped on every commit so a missing commit is detectable. A distinct
+   NV index keeps the two anchors from clobbering each other when both
+   are in use on one platform. *)
 
 let ( let* ) = Result.bind
-
-(* Typed anchor-path errors: transient device trouble (busy, reset,
-   power loss) is [Unavailable] — retry after recovery; a non-transient
-   TPM code keeps its identity; anything else is [Internal]. *)
-let client_err what (e : Client.error) : ('a, Vtpm_util.Verror.t) result =
-  if Client.transient e then
-    Vtpm_util.Verror.unavailable "%s: %a" what Client.pp_error e
-  else
-    match e with
-    | Client.Tpm rc -> Error (Vtpm_util.Verror.Tpm_error rc)
-    | Client.Transport m -> Vtpm_util.Verror.internal "%s: %s" what m
-
-let owner_session mgr hw =
-  Result.fold ~ok:Result.ok ~error:(client_err "owner session")
-    (Client.start_oiap hw ~usage_secret:mgr.Manager.hw_owner_auth)
 
 (* Canonical map dump: sorted by lineage so serialization and digests are
    independent of hashtable iteration order. *)
@@ -137,79 +117,44 @@ let table_digest t =
   Vtpm_crypto.Sha256.digest (Vtpm_util.Codec.contents w)
 
 (* Commit the current table digest; returns the anchor counter value.
-   Routed through the anchoring service when one is attached — freshness
-   commits are synchronous and never deferred (an unanchored admission
-   would be a rollback window), so the router propagates the service's
-   typed error instead of queueing. *)
+   Freshness commits are synchronous and never deferred (an unanchored
+   admission would be a rollback window), so a service router
+   propagates its typed error instead of queueing. *)
 let anchor_commit (t : t) : (int, Vtpm_util.Verror.t) result =
-  match (t.anchor, t.router) with
-  | None, _ -> Vtpm_util.Verror.internal "freshness table is not anchored"
-  | Some _, Some r -> r.rt_commit ~data:(table_digest t)
-  | Some a, None ->
-      let mgr = t.mgr in
-      let hw = Manager.hw_client mgr in
-      let* sess = owner_session mgr hw in
-      let* () =
-        Result.fold ~ok:Result.ok ~error:(client_err "nv_write")
-          (Client.nv_write hw ~session:sess ~continue:false ~index:a.nv_index ~offset:0
-             ~data:(table_digest t) ())
-      in
-      let* csess =
-        Result.fold ~ok:Result.ok ~error:(client_err "counter session")
-          (Client.start_oiap hw ~usage_secret:a.counter_auth)
-      in
-      let* resp =
-        Result.fold ~ok:Result.ok ~error:(client_err "increment")
-          (Client.authorized ~continue:false hw csess ~make_req:(fun auth ->
-               Cmd.Increment_counter { handle = a.counter_handle; auth }))
-      in
-      (match resp.Cmd.body with
-      | Cmd.R_counter { value; _ } -> Ok value
-      | _ -> Vtpm_util.Verror.internal "unexpected counter response")
+  match t.anchor with
+  | None -> Vtpm_util.Verror.internal "freshness table is not anchored"
+  | Some (_, r) -> r.rt_commit ~data:(table_digest t)
 
 (* Compare the live table against the hardware anchor. A mismatch is an
    [Integrity] error — rollback or staleness, never retryable. *)
 let anchor_verify (t : t) : (unit, Vtpm_util.Verror.t) result =
   match t.anchor with
   | None -> Vtpm_util.Verror.internal "freshness table is not anchored"
-  | Some a ->
-      let* anchored_digest =
-        match t.router with
-        | Some r -> r.rt_read ()
-        | None ->
-            let hw = Manager.hw_client t.mgr in
-            Result.fold ~ok:Result.ok ~error:(client_err "nv_read")
-              (Client.nv_read hw ~index:a.nv_index ~offset:0 ~length:digest_size ())
-      in
+  | Some (_, r) ->
+      let* anchored_digest = r.rt_read () in
       if Vtpm_crypto.Hmac.equal_ct anchored_digest (table_digest t) then Ok ()
       else
         Vtpm_util.Verror.integrity
           "freshness table does not match the hardware anchor (rolled back or stale)"
 
-let anchor_setup ?(nv_index = default_nv_index) (t : t) : (unit, Vtpm_util.Verror.t) result =
+let anchor_setup (t : t) : (unit, Vtpm_util.Verror.t) result =
   let mgr = t.mgr in
-  let hw = Manager.hw_client mgr in
-  let* sess = owner_session mgr hw in
-  let attrs = { Types.nv_attrs_default with Types.nv_owner_write = true } in
-  let* () =
-    Result.fold ~ok:Result.ok ~error:(client_err "nv_define")
-      (Client.nv_define hw ~session:sess ~continue:true ~index:nv_index ~size:digest_size
-         ~attrs ())
+  let* slot =
+    Hw_anchor.define mgr ~label:"freshness" ~nv_index:0x1A0E ~size:32 ~counter_label:"frsh"
+      ~auth_prefix:"fresh-ctr:"
   in
-  let counter_auth = Vtpm_crypto.Sha1.digest ("fresh-ctr:" ^ mgr.Manager.hw_owner_auth) in
-  let* resp =
-    Result.fold ~ok:Result.ok ~error:(client_err "create_counter")
-      (Client.authorized ~continue:false hw sess ~make_req:(fun auth ->
-           Cmd.Create_counter { label = "frsh"; counter_auth; auth }))
+  let direct =
+    {
+      rt_commit = (fun ~data -> Hw_anchor.commit mgr slot ~data);
+      rt_read = (fun () -> Result.map fst (Hw_anchor.read mgr slot));
+      rt_available = (fun () -> true);
+    }
   in
-  match resp.Cmd.body with
-  | Cmd.R_counter { handle; _ } ->
-      t.anchor <- Some { nv_index; counter_handle = handle; counter_auth };
-      (* Seed the anchor with the current (usually empty) table digest so
-         the anchor invariant holds before the first admission — an
-         anchored tracker whose live table mismatches refuses imports. *)
-      Result.map (fun (_ : int) -> ()) (anchor_commit t)
-  | _ -> Vtpm_util.Verror.internal "unexpected counter response"
+  t.anchor <- Some (slot, direct);
+  (* Seed the anchor with the current (usually empty) table digest so
+     the anchor invariant holds before the first admission — an anchored
+     tracker whose live table mismatches refuses imports. *)
+  Result.map (fun (_ : int) -> ()) (anchor_commit t)
 
 (* --- Counter issue / admission ------------------------------------------- *)
 
@@ -238,8 +183,8 @@ let admit (t : t) ~lineage ~counter : (unit, string) result =
      would be silently un-anchored — exactly the rollback window the
      anchor exists to close. Bounded staleness is for audit heads only;
      freshness never defers. *)
-  match t.anchor, t.router with
-  | Some _, Some r when not (r.rt_available ()) ->
+  match t.anchor with
+  | Some (_, r) when not (r.rt_available ()) ->
       t.rejected <- t.rejected + 1;
       Error "freshness anchor unavailable (hardware TPM down), refusing import"
   | _ -> (

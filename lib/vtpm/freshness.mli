@@ -6,9 +6,9 @@
     stamp a counter strictly above everything this host has issued or
     accepted for the lineage; imports refuse any blob whose counter is
     not strictly newer than the last value accepted. The last-seen table
-    can itself be anchored in the hardware TPM (owner-write NV digest +
-    monotonic counter, the audit-anchor construction) so a crashed
-    destination reloading an old table fails closed. *)
+    can itself be anchored in the hardware TPM (a {!Hw_anchor} slot, the
+    audit-anchor construction) so a crashed destination reloading an old
+    table fails closed. *)
 
 type t
 
@@ -21,18 +21,20 @@ type router = {
       (** false while the anchoring service holds the hardware TPM down;
           admissions fail closed *)
 }
-(** Injection point for the hardware-TPM anchoring service
-    ([Vtpm_access.Anchor_svc]); closures because [lib/vtpm] cannot depend
-    on [lib/core]. *)
+(** The path an anchored tracker's hardware traffic takes.
+    {!anchor_setup} installs single-attempt {!Hw_anchor.commit} /
+    {!Hw_anchor.read} (always available); [Vtpm_access.Anchor.attach_freshness]
+    swaps in the journaled, breaker-guarded service. Closures because
+    [lib/vtpm] cannot depend on [lib/core]. *)
 
 val create : Manager.t -> t
 
-val set_router : t -> router option -> unit
-(** Funnel anchor traffic through the anchoring service. *)
+val set_router : t -> router -> unit
+(** Replace the anchored tracker's router.
+    @raise Invalid_argument before {!anchor_setup}. *)
 
-val anchor_slot : t -> (int * int * string) option
-(** [(nv_index, counter_handle, counter_auth)] once {!anchor_setup} ran —
-    what the anchoring service needs to own this anchor's hardware ops. *)
+val anchor_slot : t -> Hw_anchor.slot option
+(** The table's anchor slot once {!anchor_setup} ran. *)
 
 val lineage : Vtpm_tpm.Engine.t -> string
 (** The engine's lineage identity: its EK fingerprint. *)
@@ -68,20 +70,18 @@ val rejected : t -> int
 
 (** {1 Hardware anchoring of the last-seen table} *)
 
-val default_nv_index : int
-(** 0x1A0E — distinct from the audit anchor's NV index. *)
-
 val anchored : t -> bool
 
-val anchor_setup : ?nv_index:int -> t -> (unit, Vtpm_util.Verror.t) result
-(** Define the NV space (owner-write), create the anchor counter, and
+val anchor_setup : t -> (unit, Vtpm_util.Verror.t) result
+(** Define the anchor slot (label ["freshness"], NV index 0x1A0E,
+    distinct from the audit slot's), install the direct router, and
     commit the current table digest so the anchor invariant holds from
     setup onward. Errors are typed: transient device trouble is
     [Unavailable], TPM codes keep their identity. *)
 
 val anchor_commit : t -> (int, Vtpm_util.Verror.t) result
-(** Commit the current table digest; returns the hardware counter.
-    Routed through the attached {!router} when present. *)
+(** Commit the current table digest through the {!router}; returns the
+    hardware counter. *)
 
 val anchor_verify : t -> (unit, Vtpm_util.Verror.t) result
 (** Compare the live table against the anchored digest. A mismatch is an

@@ -1081,12 +1081,16 @@ let test_monitor_audit_toggle () =
 
 (* --- Anchor ---------------------------------------------------------------------------- *)
 
+(* A single-attempt commit of the log's current head. *)
+let commit_head mgr anchor audit =
+  Result.get_ok (Vtpm_mgr.Hw_anchor.commit mgr anchor ~data:(Audit.head audit))
+
 let test_anchor_commit_and_verify () =
   let _, mgr, monitor = mk_monitor () in
   let anchor = Result.get_ok (Anchor.setup mgr) in
   Audit.append monitor.Monitor.audit ~subject:"s" ~operation:"op1" ~instance:None ~allowed:true
     ~reason:"r";
-  let count = Result.get_ok (Anchor.commit anchor mgr monitor.Monitor.audit) in
+  let count = commit_head mgr anchor monitor.Monitor.audit in
   check_i "first commit" 1 count;
   check_b "anchored log verifies" true
     (Anchor.verify anchor mgr (Audit.entries monitor.Monitor.audit) = Ok ());
@@ -1096,7 +1100,7 @@ let test_anchor_commit_and_verify () =
     ~reason:"r";
   check_b "stale anchor detected" true
     (Result.is_error (Anchor.verify anchor mgr (Audit.entries monitor.Monitor.audit)));
-  let count2 = Result.get_ok (Anchor.commit anchor mgr monitor.Monitor.audit) in
+  let count2 = commit_head mgr anchor monitor.Monitor.audit in
   check_i "second commit" 2 count2;
   check_b "verifies again" true
     (Anchor.verify anchor mgr (Audit.entries monitor.Monitor.audit) = Ok ())
@@ -1108,7 +1112,7 @@ let test_anchor_detects_truncation () =
     Audit.append monitor.Monitor.audit ~subject:"s" ~operation:(Printf.sprintf "op%d" i)
       ~instance:None ~allowed:true ~reason:"r"
   done;
-  ignore (Result.get_ok (Anchor.commit anchor mgr monitor.Monitor.audit));
+  ignore (commit_head mgr anchor monitor.Monitor.audit);
   (* Attacker exports a truncated log; the head anchor catches it even
      though the prefix chain itself is intact. *)
   let truncated = List.filteri (fun i _ -> i < 2) (Audit.entries monitor.Monitor.audit) in
@@ -1124,7 +1128,7 @@ let test_anchor_verify_across_rotation () =
       ~allowed:true ~reason:"r"
   done;
   check_b "rotated" true (Audit.rotations audit > 0);
-  ignore (Result.get_ok (Anchor.commit anchor mgr audit));
+  ignore (commit_head mgr anchor audit);
   (* The retained window no longer starts at genesis; hardware-anchored
      verification must use the log's recorded base. *)
   check_b "genesis base no longer applies" true

@@ -1,8 +1,9 @@
-(* Tests for the crash-consistent anchoring service and its Merkle
-   batching: the tree itself, torn-commit repair at every crash
+(* Tests for hardware anchoring: the crash-consistent service and its
+   Merkle batching (the tree itself, torn-commit repair at every crash
    boundary, retry under injected chip faults, breaker-driven deferral
-   with bounded staleness, Merkle catch-up with inclusion proofs, and
-   the freshness fail-closed contract. *)
+   with bounded staleness, Merkle catch-up with inclusion proofs, the
+   freshness fail-closed contract), and the single-attempt path it
+   shares its hardware ops with. *)
 
 open Vtpm_access
 open Vtpm_mgr
@@ -23,17 +24,17 @@ let rig ?cfg ~seed () =
   let m = Host.monitor_exn host in
   let mgr = host.Host.mgr in
   let ckpt = Checkpoint.create mgr in
-  let anchor =
+  let slot =
     match Anchor.setup mgr with
     | Ok a -> a
     | Error e -> Alcotest.failf "anchor setup: %s" (verr e)
   in
-  let svc = Anchor_svc.create ?cfg ~ckpt mgr in
-  Anchor_svc.set_audit svc (Some m.Monitor.audit);
-  (host, m, mgr, ckpt, anchor, svc)
+  let svc = Anchor.create ?cfg ~ckpt mgr in
+  Anchor.set_audit svc (Some m.Monitor.audit);
+  (host, m, mgr, ckpt, slot, svc)
 
 let commit_ok ?(what = "commit") svc slot data =
-  match Anchor_svc.commit_sync svc slot ~data with
+  match Anchor.commit_sync svc slot ~data with
   | Ok c -> c
   | Error e -> Alcotest.failf "%s: %s" what (verr e)
 
@@ -79,25 +80,24 @@ let test_merkle_proofs_every_size () =
 (* --- Plain commits through the service -------------------------------------------- *)
 
 let test_commit_sync_and_read () =
-  let _host, _m, _mgr, _ckpt, anchor, svc = rig ~seed:5 () in
-  let slot = Anchor.slot_of anchor in
+  let _host, _m, _mgr, _ckpt, slot, svc = rig ~seed:5 () in
   let d1 = sha "head-1" and d2 = sha "head-2" in
   let c1 = commit_ok ~what:"first" svc slot d1 in
   let c2 = commit_ok ~what:"second" svc slot d2 in
   check_b "counter advances" true (c2 > c1);
-  (match Anchor_svc.read_slot svc slot ~length:Anchor.head_size with
+  (match Anchor.read_slot svc slot with
   | Ok (bytes, c) ->
       check_s "latest head anchored" d2 bytes;
       check_i "read counter matches" c2 c
   | Error e -> Alcotest.failf "read_slot: %s" (verr e));
-  check_b "healthy" true (Anchor_svc.health svc = Anchor_svc.Healthy);
-  check_i "journal empty after clean commits" 0 (Anchor_svc.inflight svc);
-  check_i "nothing deferred" 0 (Anchor_svc.queue_depth svc)
+  check_b "healthy" true (Anchor.health svc = Anchor.Healthy);
+  check_i "journal empty after clean commits" 0 (Anchor.inflight svc);
+  check_i "nothing deferred" 0 (Anchor.queue_depth svc)
 
 (* --- Torn-commit repair at every crash boundary ------------------------------------ *)
 
 let boundaries =
-  Anchor_svc.
+  Anchor.
     [
       (Before_nv_write, "before-nv-write");
       (After_nv_write, "after-nv-write");
@@ -108,26 +108,25 @@ let boundaries =
 let test_torn_commit_repair () =
   List.iter
     (fun (point, name) ->
-      let _host, _m, mgr, ckpt, anchor, svc = rig ~seed:7 () in
-      let slot = Anchor.slot_of anchor in
+      let _host, _m, mgr, ckpt, slot, svc = rig ~seed:7 () in
       let c0 = commit_ok ~what:(name ^ ": baseline") svc slot (sha ("baseline-" ^ name)) in
       let torn = sha ("torn-" ^ name) in
-      Anchor_svc.set_power_loss_at svc (Some point);
-      (match Anchor_svc.commit svc slot ~data:torn ~defer_ok:false with
-      | exception Anchor_svc.Power_loss p ->
+      Anchor.set_power_loss_at svc (Some point);
+      (match Anchor.commit_sync svc slot ~data:torn with
+      | exception Anchor.Power_loss p ->
           check_b (name ^ ": cut at the scheduled point") true (p = point)
       | Ok _ | Error _ -> Alcotest.failf "%s: drill did not cut the power" name);
       (* Restart: a fresh service incarnation over the same checkpoint
          store must see the journaled intent and finish it forward. *)
-      let svc2 = Anchor_svc.create ~ckpt mgr in
-      check_i (name ^ ": journal survives restart") 1 (Anchor_svc.inflight svc2);
-      (match Anchor_svc.recover svc2 with
+      let svc2 = Anchor.create ~ckpt mgr in
+      check_i (name ^ ": journal survives restart") 1 (Anchor.inflight svc2);
+      (match Anchor.recover svc2 with
       | Ok r ->
-          check_i (name ^ ": one in-flight intent") 1 r.Anchor_svc.rp_inflight;
-          check_i (name ^ ": accounted for") 1 (r.Anchor_svc.rp_repaired + r.Anchor_svc.rp_completed)
+          check_i (name ^ ": one in-flight intent") 1 r.Anchor.rp_inflight;
+          check_i (name ^ ": accounted for") 1 (r.Anchor.rp_repaired + r.Anchor.rp_completed)
       | Error e -> Alcotest.failf "%s: recover: %s" name (verr e));
-      check_i (name ^ ": journal clean after repair") 0 (Anchor_svc.inflight svc2);
-      match Anchor_svc.read_slot svc2 slot ~length:Anchor.head_size with
+      check_i (name ^ ": journal clean after repair") 0 (Anchor.inflight svc2);
+      match Anchor.read_slot svc2 slot with
       | Ok (bytes, c) ->
           check_s (name ^ ": torn head finished forward") torn bytes;
           check_b (name ^ ": counter never undercounts") true (c > c0)
@@ -135,82 +134,79 @@ let test_torn_commit_repair () =
     boundaries
 
 let test_recover_is_idempotent () =
-  let _host, _m, mgr, ckpt, anchor, svc = rig ~seed:19 () in
-  let slot = Anchor.slot_of anchor in
-  Anchor_svc.set_power_loss_at svc (Some Anchor_svc.After_nv_write);
-  (try ignore (Anchor_svc.commit svc slot ~data:(sha "idem") ~defer_ok:false)
-   with Anchor_svc.Power_loss _ -> ());
-  let svc2 = Anchor_svc.create ~ckpt mgr in
-  (match Anchor_svc.recover svc2 with
-  | Ok r -> check_i "first pass repairs" 1 r.Anchor_svc.rp_inflight
+  let _host, _m, mgr, ckpt, slot, svc = rig ~seed:19 () in
+  Anchor.set_power_loss_at svc (Some Anchor.After_nv_write);
+  (try ignore (Anchor.commit_sync svc slot ~data:(sha "idem"))
+   with Anchor.Power_loss _ -> ());
+  let svc2 = Anchor.create ~ckpt mgr in
+  (match Anchor.recover svc2 with
+  | Ok r -> check_i "first pass repairs" 1 r.Anchor.rp_inflight
   | Error e -> Alcotest.failf "recover: %s" (verr e));
   let counter_after =
-    match Anchor_svc.read_slot svc2 slot ~length:Anchor.head_size with
+    match Anchor.read_slot svc2 slot with
     | Ok (_, c) -> c
     | Error e -> Alcotest.failf "read: %s" (verr e)
   in
-  (match Anchor_svc.recover svc2 with
-  | Ok r -> check_i "second pass finds nothing" 0 r.Anchor_svc.rp_inflight
+  (match Anchor.recover svc2 with
+  | Ok r -> check_i "second pass finds nothing" 0 r.Anchor.rp_inflight
   | Error e -> Alcotest.failf "recover again: %s" (verr e));
-  match Anchor_svc.read_slot svc2 slot ~length:Anchor.head_size with
+  match Anchor.read_slot svc2 slot with
   | Ok (_, c) -> check_i "idempotent: counter untouched" counter_after c
   | Error e -> Alcotest.failf "read again: %s" (verr e)
 
 (* --- Retry under injected chip faults ---------------------------------------------- *)
 
 let test_transient_faults_ride_retry () =
-  let _host, _m, mgr, _ckpt, anchor, svc = rig ~seed:9 () in
-  let slot = Anchor.slot_of anchor in
+  let _host, _m, mgr, _ckpt, slot, svc = rig ~seed:9 () in
   let f = Vtpm_xen.Faults.create ~seed:41 () in
   Manager.set_hw_faults mgr (Some f);
   Vtpm_xen.Faults.schedule f Vtpm_xen.Faults.Hw_busy;
   ignore (commit_ok ~what:"busy" svc slot (sha "rides-busy"));
   Vtpm_xen.Faults.schedule f Vtpm_xen.Faults.Hw_reset;
   ignore (commit_ok ~what:"reset" svc slot (sha "rides-reset"));
-  let st = Anchor_svc.stats svc in
-  check_b "retries recorded" true (st.Anchor_svc.st_retries > 0);
-  check_b "service never went down" true (Anchor_svc.available svc);
-  check_i "journal clean" 0 (Anchor_svc.inflight svc)
+  let st = Anchor.stats svc in
+  check_b "retries recorded" true (st.Anchor.st_retries > 0);
+  check_b "service never went down" true (Anchor.available svc);
+  check_i "journal clean" 0 (Anchor.inflight svc)
 
 (* --- Breaker, deferral, Merkle catch-up -------------------------------------------- *)
 
 let test_breaker_defers_and_catches_up () =
-  let _host, m, mgr, _ckpt, anchor, svc = rig ~seed:11 () in
-  let slot = Anchor.slot_of anchor in
+  let _host, m, mgr, _ckpt, slot, svc = rig ~seed:11 () in
   ignore (commit_ok ~what:"baseline" svc slot (sha "baseline"));
-  Anchor_svc.force_down svc;
-  check_b "down" true (Anchor_svc.health svc = Anchor_svc.Down);
-  check_b "not available" true (not (Anchor_svc.available svc));
-  (match Anchor_svc.commit svc slot ~data:(sha "no-defer") ~defer_ok:false with
+  Anchor.force_down svc;
+  check_b "down" true (Anchor.health svc = Anchor.Down);
+  check_b "not available" true (not (Anchor.available svc));
+  (match Anchor.commit_sync svc slot ~data:(sha "no-defer") with
   | Error (Vtpm_util.Verror.Unavailable _) -> ()
   | Ok _ -> Alcotest.fail "non-deferrable commit succeeded while down"
   | Error e -> Alcotest.failf "wrong error while down: %s" (verr e));
   let leaves = List.init 5 (fun i -> sha (Printf.sprintf "deferred-%d" i)) in
   List.iteri
     (fun i d ->
-      match Anchor_svc.commit svc slot ~data:d ~defer_ok:true with
-      | Ok (Anchor_svc.Deferred depth) -> check_i "queue depth grows" (i + 1) depth
-      | Ok (Anchor_svc.Committed _) -> Alcotest.fail "committed while down"
+      match Anchor.commit svc slot ~data:d with
+      | Ok (Anchor.Deferred depth) -> check_i "queue depth grows" (i + 1) depth
+      | Ok (Anchor.Committed _) -> Alcotest.fail "committed while down"
       | Error e -> Alcotest.failf "defer: %s" (verr e))
     leaves;
-  check_i "queue holds the backlog" 5 (Anchor_svc.queue_depth svc);
+  check_i "queue holds the backlog" 5 (Anchor.queue_depth svc);
   (* Cooldown elapses on the simulated clock; one tick probes the chip,
      replays the journal and drains the backlog as one Merkle batch. *)
   Vtpm_util.Cost.charge mgr.Manager.cost
-    (Anchor_svc.default_config.Anchor_svc.cooldown_us +. 1.0);
-  Anchor_svc.tick svc;
-  check_b "degraded after recovery" true (Anchor_svc.health svc = Anchor_svc.Degraded);
-  check_i "queue drained" 0 (Anchor_svc.queue_depth svc);
-  let st = Anchor_svc.stats svc in
-  check_b "breaker open counted" true (st.Anchor_svc.st_breaker_opens >= 1);
-  check_i "one catch-up batch" 1 st.Anchor_svc.st_catchup_batches;
-  check_i "every deferred entry batched" 5 st.Anchor_svc.st_catchup_entries;
+    (Anchor.default_config.Anchor.cooldown_us +. 1.0);
+  Anchor.tick svc;
+  check_b "degraded after recovery" true (Anchor.health svc = Anchor.Degraded);
+  check_i "queue drained" 0 (Anchor.queue_depth svc);
+  let st = Anchor.stats svc in
+  check_b "breaker open counted" true (st.Anchor.st_breaker_opens >= 1);
+  check_i "one catch-up batch" 1 st.Anchor.st_catchup_batches;
+  check_i "every deferred entry batched" 5 st.Anchor.st_catchup_entries;
   (* The anchored root proves each deferred digest individually. *)
-  (match Anchor_svc.read_slot svc slot ~length:Anchor.head_size with
+  (match Anchor.read_slot svc slot with
   | Ok (root, _) ->
       List.iter
         (fun d ->
-          match Anchor_svc.proof_for svc ~label:slot.Anchor_svc.sl_label ~data:d with
+          match Anchor.proof_for svc ~label:slot.Hw_anchor.label ~data:d with
           | Some (r, p) ->
               check_s "proof root is the anchored root" root r;
               check_b "inclusion proof verifies" true (Merkle.verify ~root:r ~leaf:d p)
@@ -223,71 +219,70 @@ let test_breaker_defers_and_catches_up () =
   check_b "window-close audited" true (List.exists (fun r -> contains r "window-close") reasons);
   (* Clean commits walk Degraded back to Healthy. *)
   let i = ref 0 in
-  while Anchor_svc.health svc <> Anchor_svc.Healthy && !i < 8 do
+  while Anchor.health svc <> Anchor.Healthy && !i < 8 do
     ignore (commit_ok ~what:"heal" svc slot (sha (Printf.sprintf "heal-%d" !i)));
     incr i
   done;
   check_b "healthy again after a clean streak" true
-    (Anchor_svc.health svc = Anchor_svc.Healthy)
+    (Anchor.health svc = Anchor.Healthy)
 
 let test_bounded_queue_and_staleness () =
   let cfg =
-    { Anchor_svc.default_config with Anchor_svc.max_deferred = 2; max_staleness_us = 10.0 }
+    { Anchor.default_config with Anchor.max_deferred = 2; max_staleness_us = 10.0 }
   in
-  let _host, _m, mgr, _ckpt, anchor, svc = rig ~cfg ~seed:23 () in
-  let slot = Anchor.slot_of anchor in
-  Anchor_svc.force_down svc;
+  let _host, _m, mgr, _ckpt, slot, svc = rig ~cfg ~seed:23 () in
+  Anchor.force_down svc;
   let defer what d =
-    match Anchor_svc.commit svc slot ~data:d ~defer_ok:true with
-    | Ok (Anchor_svc.Deferred _) -> ()
-    | Ok (Anchor_svc.Committed _) -> Alcotest.failf "%s: committed while down" what
+    match Anchor.commit svc slot ~data:d with
+    | Ok (Anchor.Deferred _) -> ()
+    | Ok (Anchor.Committed _) -> Alcotest.failf "%s: committed while down" what
     | Error e -> Alcotest.failf "%s: %s" what (verr e)
   in
   let dropped = sha "oldest-dropped" in
   defer "first" dropped;
   defer "second" (sha "kept-1");
   defer "third" (sha "kept-2");
-  check_i "queue stays bounded" 2 (Anchor_svc.queue_depth svc);
-  check_i "oldest dropped" 1 (Anchor_svc.stats svc).Anchor_svc.st_queue_dropped;
+  check_i "queue stays bounded" 2 (Anchor.queue_depth svc);
+  check_i "oldest dropped" 1 (Anchor.stats svc).Anchor.st_queue_dropped;
   (* Age the backlog past the staleness bound; the next deferral records
      the contract breach. *)
   Vtpm_util.Cost.charge mgr.Manager.cost 50.0;
   defer "stale" (sha "kept-3");
   check_b "staleness breach recorded" true
-    ((Anchor_svc.stats svc).Anchor_svc.st_staleness_breaches >= 1);
+    ((Anchor.stats svc).Anchor.st_staleness_breaches >= 1);
   (* Recovery anchors only what the queue still holds; the dropped digest
      has no inclusion proof. *)
   Vtpm_util.Cost.charge mgr.Manager.cost
-    (Anchor_svc.default_config.Anchor_svc.cooldown_us +. 1.0);
-  Anchor_svc.tick svc;
-  check_i "backlog drained" 0 (Anchor_svc.queue_depth svc);
-  (match Anchor_svc.proof_for svc ~label:slot.Anchor_svc.sl_label ~data:(sha "kept-3") with
+    (Anchor.default_config.Anchor.cooldown_us +. 1.0);
+  Anchor.tick svc;
+  check_i "backlog drained" 0 (Anchor.queue_depth svc);
+  (match Anchor.proof_for svc ~label:slot.Hw_anchor.label ~data:(sha "kept-3") with
   | Some (r, p) -> check_b "kept digest proven" true (Merkle.verify ~root:r ~leaf:(sha "kept-3") p)
   | None -> Alcotest.fail "kept digest missing from the batch");
-  match Anchor_svc.proof_for svc ~label:slot.Anchor_svc.sl_label ~data:dropped with
+  match Anchor.proof_for svc ~label:slot.Hw_anchor.label ~data:dropped with
   | None -> ()
   | Some _ -> Alcotest.fail "dropped digest has a proof"
 
 (* --- Audit log verification through the service ------------------------------------ *)
 
 let test_audit_verify_through_service () =
-  let _host, m, mgr, _ckpt, anchor, svc = rig ~seed:17 () in
+  let _host, m, mgr, _ckpt, slot, svc = rig ~seed:17 () in
   for i = 1 to 4 do
     Audit.append m.Monitor.audit ~subject:"test" ~operation:"extend" ~instance:(Some 1)
       ~allowed:true ~reason:(Printf.sprintf "entry %d" i)
   done;
-  (match Anchor.commit_via svc anchor m.Monitor.audit with
-  | Ok (Anchor_svc.Committed _) -> ()
-  | Ok (Anchor_svc.Deferred _) -> Alcotest.fail "healthy chip deferred"
-  | Error e -> Alcotest.failf "commit_via: %s" (verr e));
-  (match Anchor.verify_log anchor mgr ~svc m.Monitor.audit with
+  (match Anchor.commit svc slot ~data:(Audit.head m.Monitor.audit) with
+  | Ok (Anchor.Committed _) -> ()
+  | Ok (Anchor.Deferred _) -> Alcotest.fail "healthy chip deferred"
+  | Error e -> Alcotest.failf "commit: %s" (verr e));
+  (match Anchor.verify_log slot mgr ~svc m.Monitor.audit with
   | Ok () -> ()
   | Error e -> Alcotest.failf "verify_log: %s" (verr e));
   (* A truncated export keeps a valid chain but no longer ends at the
      anchored head — refused as an integrity failure. *)
   let entries = Audit.entries m.Monitor.audit in
   let truncated = List.filteri (fun i _ -> i < List.length entries - 1) entries in
-  match Anchor.verify anchor mgr ~svc truncated with
+  match Anchor.verify slot mgr ~svc truncated with
   | Error (Vtpm_util.Verror.Integrity _) -> ()
   | Ok () -> Alcotest.fail "truncated log verified"
   | Error e -> Alcotest.failf "wrong error for truncation: %s" (verr e)
@@ -304,8 +299,8 @@ let test_freshness_fails_closed () =
     | Error e -> Alcotest.failf "freshness: %s" e
   in
   let ckpt = Checkpoint.create ~fresh mgr in
-  let svc = Anchor_svc.create ~ckpt mgr in
-  (match Anchor_svc.attach_freshness svc fresh with
+  let svc = Anchor.create ~ckpt mgr in
+  (match Anchor.attach_freshness svc fresh with
   | Ok () -> ()
   | Error e -> Alcotest.failf "attach: %s" (verr e));
   (* Routed commits work while the chip is up... *)
@@ -318,7 +313,7 @@ let test_freshness_fails_closed () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "healthy admit: %s" e);
   (* ...and fail closed while it is down: no deferral for freshness. *)
-  Anchor_svc.force_down svc;
+  Anchor.force_down svc;
   (match Freshness.anchor_commit fresh with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "freshness committed while the chip was down");
@@ -328,12 +323,125 @@ let test_freshness_fails_closed () =
   | Ok () -> Alcotest.fail "admission while the anchor was down");
   (* Recovery restores synchronous anchoring. *)
   Vtpm_util.Cost.charge mgr.Manager.cost
-    (Anchor_svc.default_config.Anchor_svc.cooldown_us +. 1.0);
-  Anchor_svc.tick svc;
-  check_b "recovered" true (Anchor_svc.available svc);
+    (Anchor.default_config.Anchor.cooldown_us +. 1.0);
+  Anchor.tick svc;
+  check_b "recovered" true (Anchor.available svc);
   match Freshness.admit fresh ~lineage:lin ~counter:c2 with
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-recovery admit: %s" e
+
+(* --- Direct (single-attempt) anchor commits ------------------------------------------ *)
+
+(* A host with both anchor slots defined: the audit slot, and the
+   freshness slot behind its tracker's direct router. *)
+let anchored_host ~seed =
+  let host = Host.create ~mode:Host.Improved_mode ~seed ~rsa_bits:256 () in
+  let m = Host.monitor_exn host in
+  let mgr = host.Host.mgr in
+  let fresh =
+    match Monitor.enable_freshness m with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "freshness: %s" e
+  in
+  let audit_slot =
+    match Anchor.setup mgr with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "anchor setup: %s" (verr e)
+  in
+  (m, mgr, fresh, audit_slot, Option.get (Freshness.anchor_slot fresh))
+
+let hw_sessions mgr = Vtpm_tpm.Auth.handles mgr.Manager.hw_tpm.Vtpm_tpm.Engine.sessions
+
+(* A failed direct commit must not strand its OIAP session in the chip's
+   eight-entry table: after a busy storm the chip would refuse every
+   later session with TPM_RESOURCES (0x15), even once healthy again. *)
+let test_direct_commit_no_session_leak () =
+  let storm what mgr commit =
+    let f = Vtpm_xen.Faults.create ~seed:3 ~rates:[ (Vtpm_xen.Faults.Hw_busy, 0.5) ] () in
+    Manager.set_hw_faults mgr (Some f);
+    let failed = ref 0 in
+    for _ = 1 to 60 do
+      if Result.is_error (commit ()) then incr failed
+    done;
+    Manager.set_hw_faults mgr None;
+    check_b (what ^ ": the storm failed commits") true (!failed > 30);
+    for i = 1 to 10 do
+      match commit () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: commit %d after the storm: %s" what i (verr e)
+    done
+  in
+  let m, mgr, _fresh, audit_slot, _ = anchored_host ~seed:5 in
+  storm "audit slot" mgr (fun () ->
+      Hw_anchor.commit mgr audit_slot ~data:(Audit.head m.Monitor.audit));
+  (match Anchor.verify_log audit_slot mgr m.Monitor.audit with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "verify after the storm: %s" (verr e));
+  let _m, mgr, fresh, _, _ = anchored_host ~seed:5 in
+  storm "freshness slot" mgr (fun () -> Freshness.anchor_commit fresh);
+  (match Freshness.anchor_verify fresh with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "freshness verify after the storm: %s" (verr e));
+  (* A bump the chip refuses at authorization (a slot carrying the wrong
+     counter secret) never frees its session engine-side; the raw op
+     flushes it at once. *)
+  let _m, mgr, _, audit_slot, fresh_slot = anchored_host ~seed:5 in
+  List.iter
+    (fun slot ->
+      let forged = { slot with Hw_anchor.counter_auth = sha "not-the-counter-secret" } in
+      for _ = 1 to 10 do
+        match Hw_anchor.commit mgr forged ~data:(sha "refused") with
+        | Error (Vtpm_util.Verror.Tpm_error _) -> ()
+        | Ok _ -> Alcotest.fail "bump with the wrong secret accepted"
+        | Error e -> Alcotest.failf "forged bump: %s" (verr e)
+      done;
+      check_i (slot.Hw_anchor.label ^ ": no session left behind") 0
+        (List.length (hw_sessions mgr)))
+    [ audit_slot; fresh_slot ]
+
+(* The single-attempt path and the service are two disciplines over the
+   same hardware ops: the same digests leave the same NV bytes and
+   counter values on two hosts built from one seed. *)
+let test_direct_matches_service () =
+  let ma, mgr_a, _, audit_a, fresh_a = anchored_host ~seed:37 in
+  let mb, mgr_b, _, audit_b, fresh_b = anchored_host ~seed:37 in
+  let svc = Anchor.create ~ckpt:(Checkpoint.create mgr_b) mgr_b in
+  check_b "same slots" true (audit_a = audit_b && fresh_a = fresh_b);
+  (* Entries first: the service charges simulated time, and entry times
+     feed the chain. *)
+  List.iter
+    (fun (m : Monitor.t) ->
+      for i = 1 to 3 do
+        Audit.append m.Monitor.audit ~subject:"diff" ~operation:"extend" ~instance:(Some i)
+          ~allowed:true ~reason:"differential"
+      done)
+    [ ma; mb ];
+  check_s "same audit head" (Audit.head ma.Monitor.audit) (Audit.head mb.Monitor.audit);
+  let commit_both what slot_a slot_b data =
+    match (Hw_anchor.commit mgr_a slot_a ~data, Anchor.commit_sync svc slot_b ~data) with
+    | Ok ca, Ok cb -> check_i (what ^ ": same counter") ca cb
+    | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" what (verr e)
+  in
+  for i = 1 to 4 do
+    let d = sha (Printf.sprintf "digest-%d" i) in
+    commit_both "audit" audit_a audit_b d;
+    commit_both "freshness" fresh_a fresh_b d
+  done;
+  commit_both "audit head" audit_a audit_b (Audit.head ma.Monitor.audit);
+  List.iter
+    (fun (what, slot_a, slot_b) ->
+      match (Hw_anchor.read mgr_a slot_a, Anchor.read_slot svc slot_b) with
+      | Ok a, Ok b ->
+          check_s (what ^ ": same NV bytes") (fst a) (fst b);
+          check_i (what ^ ": same counter value") (snd a) (snd b)
+      | Error e, _ | _, Error e -> Alcotest.failf "%s read: %s" what (verr e))
+    [ ("audit", audit_a, audit_b); ("freshness", fresh_a, fresh_b) ];
+  (match Anchor.verify_log audit_a mgr_a ma.Monitor.audit with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "direct verify_log: %s" (verr e));
+  match Anchor.verify_log audit_b mgr_b ~svc mb.Monitor.audit with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "service verify_log: %s" (verr e)
 
 (* --- The drill and storm the bench runs, at test scale ------------------------------ *)
 
@@ -366,6 +474,10 @@ let suite =
       test_audit_verify_through_service;
     Alcotest.test_case "freshness fails closed while the chip is down" `Quick
       test_freshness_fails_closed;
+    Alcotest.test_case "direct commits leak no session under a busy storm" `Quick
+      test_direct_commit_no_session_leak;
+    Alcotest.test_case "direct and service commits leave the same anchor" `Quick
+      test_direct_matches_service;
     Alcotest.test_case "boundary drill and fault storm at test scale" `Slow
       test_experiment_drill_and_storm;
   ]

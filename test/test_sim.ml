@@ -194,7 +194,12 @@ let test_experiment_fig4_shape () =
    captured before the shared sweep body and the single lane-execution
    path replaced their per-figure copies. fig13 is frozen on its series
    values (exact float bits), not its rendered table, because the table
-   lost its work-stealing column. *)
+   lost its work-stealing column.
+
+   table6, table8 and fig12 (the hardware-anchor figures) are frozen at
+   full scale, captured before the direct and journaled anchor paths
+   were folded into one module. table7 and fig11 stay out: they print
+   CPU time. *)
 
 let series_digest series =
   Vtpm_crypto.Sha256.hexdigest
@@ -234,7 +239,26 @@ let test_seed_figures_frozen () =
   Alcotest.(check string)
     "fig14 rendered table unchanged (reduced scale)"
     "b7319591eab49a9ff2ec1413661d30027990d18ce55723792f7756367e400d0a"
-    (Vtpm_crypto.Sha256.hexdigest fig14)
+    (Vtpm_crypto.Sha256.hexdigest fig14);
+  let drill, table6 = Vtpm_sim.Experiments.table6 () in
+  Alcotest.(check string)
+    "table6 rendered table unchanged"
+    "73dd5e677c65cdddcaee5b5b709574064092331e464a4c403999b6f23679f79d"
+    (Vtpm_crypto.Sha256.hexdigest table6);
+  Alcotest.(check string)
+    "table6 drill summary unchanged"
+    "4d1fd663680d3f3612ac1ffe66d3e274025396931beef3e357d3c058e6d37eda"
+    (Vtpm_crypto.Sha256.hexdigest (Vtpm_sim.Experiments.render_migration_drill drill));
+  let _, _, table8 = Vtpm_sim.Experiments.table8 () in
+  Alcotest.(check string)
+    "table8 rendered table unchanged"
+    "3774df9a60c0c90d44cf57828fdcf7987b660796f18231bf7a2fe3221cb9fa0a"
+    (Vtpm_crypto.Sha256.hexdigest table8);
+  let _, fig12 = Vtpm_sim.Experiments.fig12 () in
+  Alcotest.(check string)
+    "fig12 rendered table unchanged"
+    "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2"
+    (Vtpm_crypto.Sha256.hexdigest fig12)
 
 let test_fig14_shape () =
   (* Small-scale: the measured-crt series must dominate. *)
