@@ -209,18 +209,8 @@ let bench_mixed_op () =
          let op = Vtpm_sim.Workload.pick_op rng Vtpm_sim.Workload.mixed in
          match Vtpm_sim.Tenant.run_op tenant op with Ok () -> () | Error _ -> ()))
 
-(* fig2: pure policy evaluation over a large rule list. *)
-let bench_policy_eval () =
-  let policy = Vtpm_access.Policy.synthetic ~n:4096 in
-  let subject = Vtpm_access.Subject.Guest 3 in
-  Test.make ~name:"fig2/policy-eval-4096"
-    (Staged.stage (fun () ->
-         ignore
-           (Vtpm_access.Policy.eval policy ~subject ~label:"tenant_x"
-              ~ordinal:Vtpm_tpm.Types.ord_pcr_read
-              ~measured_ok:(fun () -> true))))
-
-(* fig9: the same decision through the compiled first-match index. *)
+(* fig2/fig9: one policy decision through the compiled first-match index,
+   the monitor's only evaluator. *)
 let bench_policy_eval_indexed () =
   let index = Vtpm_access.Policy.compile (Vtpm_access.Policy.synthetic ~n:4096) in
   let subject = Vtpm_access.Subject.Guest 3 in
@@ -395,7 +385,6 @@ let run_micro () =
       bench_sealed_save ();
       bench_frame_crc ();
       bench_mixed_op ();
-      bench_policy_eval ();
       bench_policy_eval_indexed ();
       bench_audit ();
       bench_audit_digest ();
@@ -422,7 +411,6 @@ let run_fig9 () =
   let micro =
     measure_tests
       ([
-         bench_policy_eval ();
          bench_policy_eval_indexed ();
          bench_audit ();
          bench_audit_digest ();

@@ -141,11 +141,12 @@ let run_trace ?(seed = 7) (trace : trace) : report =
   let open Vtpm_mgr in
   (* Full stack on: this is the configuration every prior PR added,
      running simultaneously. *)
-  let host = Host.create ~mode:Host.Improved_mode ~seed ~rsa_bits:256 () in
+  let host =
+    Host.create ~mode:Host.Improved_mode ~seed ~rsa_bits:256 ~charge:Monitor.Index_charge ()
+  in
   let m = Host.monitor_exn host in
   let backend = host.Host.backend in
   Manager.set_lanes host.Host.mgr 4;
-  Monitor.set_index_enabled m true;
   Monitor.set_guard_cache_enabled m true;
   (* Small retention cap so long traces force a rotation under the
      anchor. *)

@@ -36,14 +36,15 @@ type t = {
 
 let manager_process = "vtpm-manager"
 
-let create ?(mode = Improved_mode) ?(seed = 1) ?(rsa_bits = 512) ?quote_profile ?policy ?acm () : t =
+let create ?(mode = Improved_mode) ?(seed = 1) ?(rsa_bits = 512) ?quote_profile ?policy ?charge
+    ?acm () : t =
   let xen = Hypervisor.create () in
   let mgr = Vtpm_mgr.Manager.create ~rsa_bits ?quote_profile ~seed ~cost:xen.Hypervisor.cost () in
   let manager_token = Vtpm_util.Hex.encode (Vtpm_crypto.Sha256.digest (Printf.sprintf "mgr-token-%d" seed)) in
   let monitor, baseline, router =
     match mode with
     | Improved_mode ->
-        let m = Monitor.create ~xen ~mgr ?policy () in
+        let m = Monitor.create ~xen ~mgr ?policy ?charge () in
         Monitor.register_process m ~process:manager_process ~token:manager_token;
         Monitor.enable_tamper_detection m;
         (Some m, None, Monitor.router m)

@@ -42,10 +42,12 @@ val create :
   ?rsa_bits:int ->
   ?quote_profile:Vtpm_util.Cost.quote_profile ->
   ?policy:Policy.t ->
+  ?charge:Monitor.charge ->
   ?acm:Acm.t ->
   unit ->
   t
-(** [quote_profile] is passed to {!Vtpm_mgr.Manager.create}. *)
+(** [quote_profile] is passed to {!Vtpm_mgr.Manager.create}; [policy] and
+    [charge] to {!Monitor.create}. *)
 
 val cost : t -> Vtpm_util.Cost.t
 val now_us : t -> float

@@ -36,12 +36,16 @@ type stats = {
    guard was consulted) and thus valid forever. *)
 type cached = { c_verdict : Policy.verdict; c_gen : int }
 
+(* What a policy decision charges to simulated time. Evaluation always
+   goes through the compiled index; this picks only the price. *)
+type charge = Linear_charge | Index_charge
+
 type t = {
   xen : Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
-  mutable policy : Policy.t;
+  mutable index : Policy.index; (* the compiled policy: the only evaluator *)
   mutable policy_has_guards : bool;
-  mutable index : Policy.index option; (* compiled policy index, opt-in *)
+  mutable charge : charge;
   bindings : Binding.t;
   audit : Audit.t;
   credentials : Subject.Credentials.t;
@@ -68,14 +72,14 @@ type t = {
 }
 
 let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.default_improved)
-    () =
+    ?(charge = Linear_charge) () =
   let cost = xen.Hypervisor.cost in
   {
     xen;
     mgr;
-    policy;
+    index = Policy.compile policy;
     policy_has_guards = Policy.has_guards policy;
-    index = None;
+    charge;
     bindings = Binding.create ~cost;
     audit = Audit.create ~cost;
     credentials = Subject.Credentials.create ();
@@ -111,13 +115,13 @@ let reset_cache t =
   Hashtbl.reset t.cached_keys;
   Hashtbl.reset t.generations
 
-let set_policy t policy =
-  t.policy <- policy;
+let set_policy t ?(charge = t.charge) policy =
+  t.index <- Policy.compile policy;
+  t.charge <- charge;
   t.policy_has_guards <- Policy.has_guards policy;
   (* A policy reload invalidates everything: cached verdicts, the key
-     index, measurement generations and any compiled index. *)
-  reset_cache t;
-  if t.index <> None then t.index <- Some (Policy.compile policy)
+     index and measurement generations. *)
+  reset_cache t
 
 let set_cache_enabled t v =
   t.cache_enabled <- v;
@@ -134,16 +138,6 @@ let set_guard_cache_enabled t v =
   if not v then reset_cache t
 
 let guard_cache_enabled t = t.guard_cache_enabled
-
-(* Opt-in: evaluate through the compiled first-match index instead of the
-   linear scan. Decisions are identical ({!Policy.eval_indexed}); the
-   simulated-time charge becomes [monitor_index_lookup_us] plus the
-   (much smaller) candidate scan, so this changes measured latencies and
-   is therefore off by default. *)
-let set_index_enabled t v =
-  if v then t.index <- Some (Policy.compile t.policy) else t.index <- None
-
-let index_enabled t = t.index <> None
 
 let generation_of t sk = Option.value ~default:0 (Hashtbl.find_opt t.generations sk)
 
@@ -298,6 +292,10 @@ let measured_ok t ~(subject : Subject.t) ~(binding : Binding.binding option) () 
       | Error _ -> false)
   | Subject.Guest _, None -> false
 
+(* Only ordinals the engine implements get cached verdicts: a guest
+   cycling junk ordinals must not grow the cache. *)
+let cacheable_ordinal ordinal = List.mem ordinal Vtpm_tpm.Types.all_ordinals
+
 (* Policy check with decision cache. Returns the verdict and the reason
    string for the audit trail. *)
 let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding option) :
@@ -321,19 +319,20 @@ let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding
       (verdict, "cached")
   | None ->
       let label = Subject.label ~xen:t.xen subject in
-      let measured_ok = measured_ok t ~subject ~binding in
-      let d, scan_overhead_us =
-        match t.index with
-        | Some ix ->
-            ( Policy.eval_indexed ix ~subject ~label ~ordinal ~measured_ok,
-              Vtpm_util.Cost.monitor_index_lookup_us )
-        | None -> (Policy.eval t.policy ~subject ~label ~ordinal ~measured_ok, 0.0)
+      let d =
+        Policy.eval_indexed t.index ~subject ~label ~ordinal
+          ~measured_ok:(measured_ok t ~subject ~binding)
       in
-      s.rules_scanned <- s.rules_scanned + d.Policy.scanned;
+      let scanned, index_us =
+        match t.charge with
+        | Linear_charge -> (d.Policy.linear_scanned, 0.0)
+        | Index_charge -> (d.Policy.scanned, Vtpm_util.Cost.monitor_index_lookup_us)
+      in
+      s.rules_scanned <- s.rules_scanned + scanned;
       Vtpm_util.Cost.charge t.xen.Hypervisor.cost
-        (Vtpm_util.Cost.monitor_lookup_us +. scan_overhead_us
-        +. (Vtpm_util.Cost.monitor_rule_scan_us *. float_of_int d.Policy.scanned));
-      if cacheable then begin
+        (Vtpm_util.Cost.monitor_lookup_us +. index_us
+        +. (Vtpm_util.Cost.monitor_rule_scan_us *. float_of_int scanned));
+      if cacheable && cacheable_ordinal ordinal then begin
         (* Measurement-independent decisions cache forever (gen -1);
            gate-dependent ones are tagged with the generation they saw. *)
         let gen = if d.Policy.needs_measurement then generation_of t sk else -1 in
@@ -348,12 +347,7 @@ let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding
         in
         Hashtbl.replace ordinals ordinal ()
       end;
-      let reason =
-        match d.Policy.matched_line with
-        | Some l -> Printf.sprintf "rule@%d" l
-        | None -> "default"
-      in
-      (d.Policy.verdict, reason)
+      (d.Policy.verdict, d.Policy.reason)
 
 let audit_and_count t ~subject ~operation ~instance ~allowed ~reason =
   let s = t.stats in
@@ -446,7 +440,7 @@ let group_suffix t vtpm_id =
       | Ok inst -> (
           match Vtpm_mgr.Manager.shard_of t.mgr inst with
           | None -> ""
-          | Some s -> ";" ^ Vtpm_mgr.Group.audit_tag s))
+          | Some s -> ";" ^ s.Vtpm_mgr.Group.audit_tag))
 
 (* Unsharded hosts have no group tag: skip the copy. *)
 let with_tag reason gtag = if gtag = "" then reason else reason ^ gtag

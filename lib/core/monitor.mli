@@ -35,12 +35,19 @@ type cached = { c_verdict : Policy.verdict; c_gen : int }
 (** A cached verdict; [c_gen] is the per-subject measurement generation
     it depended on, or [-1] when measurement-independent. *)
 
+type charge = Linear_charge | Index_charge
+(** The price of a policy decision in simulated time and [rules_scanned];
+    evaluation always goes through the compiled index. [Linear_charge]
+    is the paper's Figure 2 model: a rule-scan step per rule a
+    first-match scan examines ([linear_scanned]). [Index_charge] is
+    {!Vtpm_util.Cost.monitor_index_lookup_us} plus a step per candidate. *)
+
 type t = {
   xen : Vtpm_xen.Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
-  mutable policy : Policy.t;
+  mutable index : Policy.index;
   mutable policy_has_guards : bool;
-  mutable index : Policy.index option;
+  mutable charge : charge;
   bindings : Binding.t;
   audit : Audit.t;
   credentials : Subject.Credentials.t;
@@ -58,26 +65,19 @@ type t = {
 }
 
 val create :
-  xen:Vtpm_xen.Hypervisor.t -> mgr:Vtpm_mgr.Manager.t -> ?policy:Policy.t -> unit -> t
-(** [policy] defaults to {!Policy.default_improved}. *)
+  xen:Vtpm_xen.Hypervisor.t -> mgr:Vtpm_mgr.Manager.t -> ?policy:Policy.t -> ?charge:charge ->
+  unit -> t
+(** [policy] defaults to {!Policy.default_improved}, [charge] to
+    [Linear_charge] (the seed cost model). *)
 
 (** {1 Configuration} *)
 
-val set_policy : t -> Policy.t -> unit
-(** Installs a new policy and invalidates the decision cache. *)
+val set_policy : t -> ?charge:charge -> Policy.t -> unit
+(** Compiles and installs a new policy, priced at [charge] (default: the
+    current one), and invalidates the decision cache. *)
 
 val set_cache_enabled : t -> bool -> unit
 val set_audit_enabled : t -> bool -> unit
-
-val set_index_enabled : t -> bool -> unit
-(** Opt-in: evaluate through the compiled first-match policy index
-    ({!Policy.compile}) instead of the linear scan. Decisions are
-    identical; the simulated-time charge becomes
-    {!Vtpm_util.Cost.monitor_index_lookup_us} plus the (much smaller)
-    candidate scan, so the default — off — keeps the seed cost model
-    bit-identical. *)
-
-val index_enabled : t -> bool
 
 val set_guard_cache_enabled : t -> bool -> unit
 (** Opt-in: serve guarded policies from the decision cache, tagging each
@@ -181,7 +181,8 @@ val shard_stats : t -> (int * string * int * (int * float) array) list
 val decide :
   t -> subject:Subject.t -> ordinal:int -> binding:Binding.binding option ->
   Policy.verdict * string
-(** The policy step alone: verdict plus the audit reason. *)
+(** The policy step alone: verdict plus the audit reason. Only engine
+    ordinals ({!Vtpm_tpm.Types.all_ordinals}) get cached verdicts. *)
 
 (** {1 The wire-request router} *)
 

@@ -66,39 +66,13 @@ let command_matches (sel : command_sel) ~(ordinal : int) =
 type decision = {
   verdict : verdict;
   matched_line : int option; (* None: default applied *)
+  reason : string; (* audit reason: "rule@<line>" or "default" *)
   needs_measurement : bool; (* a `when measured` guard was evaluated *)
-  scanned : int; (* rules examined before deciding (cost model input) *)
+  scanned : int; (* candidate rules examined *)
+  linear_scanned : int; (* rules a first-match scan examines (cost model) *)
 }
 
-(* First-match evaluation. The caller supplies [measured_ok] lazily: the
-   PCR comparison is only paid when a guarded rule actually matches.
-   A guarded rule whose guard fails *falls through* to later rules — the
-   usual "conditional allow" semantics. *)
-let eval (t : t) ~(subject : Subject.t) ~(label : string) ~(ordinal : int)
-    ~(measured_ok : unit -> bool) : decision =
-  let n = Array.length t.rules in
-  let rec go i guard_seen =
-    if i >= n then
-      { verdict = t.default; matched_line = None; needs_measurement = guard_seen; scanned = n }
-    else begin
-      let r = t.rules.(i) in
-      if subject_matches r.subject ~subject ~label && command_matches r.command ~ordinal then
-        match r.guard with
-        | G_none ->
-            {
-              verdict = r.verdict;
-              matched_line = Some r.line;
-              needs_measurement = guard_seen;
-              scanned = i + 1;
-            }
-        | G_measured ->
-            if measured_ok () then
-              { verdict = r.verdict; matched_line = Some r.line; needs_measurement = true; scanned = i + 1 }
-            else go (i + 1) true
-      else go (i + 1) guard_seen
-    end
-  in
-  go 0 false
+let rules t = Array.to_list t.rules
 
 (* True when some rule carries a guard that could apply to [subject]-like
    requests; such decisions must not be cached (PCR state is mutable). *)
@@ -110,31 +84,58 @@ let has_guards (t : t) = Array.exists (fun r -> r.guard <> G_none) t.rules
    disjoint groups: the exact-subject bucket (guest:<domid> or
    dom0:<process>), the bucket of its label (label:<l>), and the kind
    wildcard bucket (guest:* / dom0:* plus the universal [*]).  Within a
-   bucket, candidates are further filtered per ordinal (memoised on first
-   use).  Evaluation merges the three candidate arrays in rule order, so
+   bucket, [compile] precomputes the candidates for every command class
+   and for every ordinal a [C_ordinal] rule of that bucket names; any
+   other ordinal matches exactly its class's candidates, so nothing is
+   memoised at request time and no request can grow the index.
+   Evaluation merges the three candidate arrays in rule order, so
    first-match semantics — including guarded fallthrough — are preserved
    exactly while [scanned] counts only candidates actually examined. *)
 
+module Int_map = Map.Make (Int)
+
 type bucket = {
-  members : int array; (* rule indices, ascending *)
-  by_ordinal : (int, int array) Hashtbl.t; (* memoised ordinal -> candidates *)
+  by_class : int array array; (* class slot -> candidate rule indices, ascending *)
+  by_ordinal : int array Int_map.t; (* ordinals named by this bucket's C_ordinal rules *)
 }
 
 type index = {
   policy : t;
+  reasons : string array; (* "rule@<line>" per rule *)
   guest_exact : (Vtpm_xen.Domain.domid, bucket) Hashtbl.t;
   dom0_exact : (string, bucket) Hashtbl.t;
   by_label : (string, bucket) Hashtbl.t;
   guest_rest : bucket; (* S_guest_any and S_any *)
   dom0_rest : bucket; (* S_dom0_any and S_any *)
-  empty_bucket : bucket; (* shared: absent exact/label keys *)
 }
 
-let indexed_policy ix = ix.policy
+let classes = Array.of_list Command_class.all
 
-let bucket_of_rev_indices rev =
-  let members = Array.of_list (List.rev rev) in
-  { members; by_ordinal = Hashtbl.create 8 }
+let class_slot c =
+  let rec go i = if classes.(i) == c then i else go (i + 1) in
+  go 0
+
+(* Absent exact/label keys: no candidates. Immutable, hence shared. *)
+let empty_bucket =
+  { by_class = Array.make (Array.length classes) [||]; by_ordinal = Int_map.empty }
+
+(* [members]: the bucket's rule indices, ascending. *)
+let bucket_of (t : t) members =
+  let slots = Array.make (Array.length classes) [] in
+  let by_ordinal = ref Int_map.empty in
+  List.iter
+    (fun i ->
+      match t.rules.(i).command with
+      | C_any -> Array.iteri (fun k l -> slots.(k) <- i :: l) slots
+      | C_class c ->
+          let k = class_slot c in
+          slots.(k) <- i :: slots.(k)
+      | C_ordinal o ->
+          if not (Int_map.mem o !by_ordinal) then
+            let named j = command_matches t.rules.(j).command ~ordinal:o in
+            by_ordinal := Int_map.add o (Array.of_list (List.filter named members)) !by_ordinal)
+    members;
+  { by_class = Array.map (fun l -> Array.of_list (List.rev l)) slots; by_ordinal = !by_ordinal }
 
 let compile (t : t) : index =
   let guest_acc : (Vtpm_xen.Domain.domid, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -158,99 +159,78 @@ let compile (t : t) : index =
     t.rules;
   let finish acc =
     let out = Hashtbl.create (Hashtbl.length acc) in
-    Hashtbl.iter (fun k rev -> Hashtbl.replace out k (bucket_of_rev_indices rev)) acc;
+    Hashtbl.iter (fun k rev -> Hashtbl.replace out k (bucket_of t (List.rev rev))) acc;
     out
   in
   {
     policy = t;
+    reasons = Array.map (fun r -> "rule@" ^ string_of_int r.line) t.rules;
     guest_exact = finish guest_acc;
     dom0_exact = finish dom0_acc;
     by_label = finish label_acc;
-    guest_rest = bucket_of_rev_indices !guest_rest;
-    dom0_rest = bucket_of_rev_indices !dom0_rest;
-    empty_bucket = { members = [||]; by_ordinal = Hashtbl.create 1 };
+    guest_rest = bucket_of t (List.rev !guest_rest);
+    dom0_rest = bucket_of t (List.rev !dom0_rest);
   }
 
-let bucket_candidates (t : t) (b : bucket) ~ordinal =
-  match Hashtbl.find_opt b.by_ordinal ordinal with
-  | Some a -> a
-  | None ->
-      let n = Array.length b.members in
-      let tmp = Array.make n 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        let ri = b.members.(i) in
-        if command_matches t.rules.(ri).command ~ordinal then begin
-          tmp.(!k) <- ri;
-          incr k
-        end
-      done;
-      let a = Array.sub tmp 0 !k in
-      Hashtbl.replace b.by_ordinal ordinal a;
-      a
+let imin (a : int) b = if a < b then a else b
 
-(* Identical decision to [eval] (differential-tested), but [scanned] is
-   the number of candidate rules examined — never more than the linear
-   scan, and typically constant in total policy size. *)
+(* First-match evaluation. [measured_ok] is consulted lazily, only when a
+   guarded candidate comes up; a guarded rule whose guard fails falls
+   through to later rules (conditional-allow semantics). *)
 let eval_indexed (ix : index) ~(subject : Subject.t) ~(label : string) ~(ordinal : int)
     ~(measured_ok : unit -> bool) : decision =
   let t = ix.policy in
-  let find_or_empty tbl key =
-    match Hashtbl.find_opt tbl key with Some b -> b | None -> ix.empty_bucket
+  let slot = class_slot (Command_class.classify ordinal) in
+  let candidates b =
+    match Int_map.find_opt ordinal b.by_ordinal with Some a -> a | None -> b.by_class.(slot)
   in
+  let find tbl key = match Hashtbl.find_opt tbl key with Some b -> b | None -> empty_bucket in
   let b_exact, b_rest =
     match subject with
-    | Subject.Guest d -> (find_or_empty ix.guest_exact d, ix.guest_rest)
-    | Subject.Dom0_process p -> (find_or_empty ix.dom0_exact p, ix.dom0_rest)
+    | Subject.Guest d -> (find ix.guest_exact d, ix.guest_rest)
+    | Subject.Dom0_process p -> (find ix.dom0_exact p, ix.dom0_rest)
   in
-  let b_label = find_or_empty ix.by_label label in
-  let a1 = bucket_candidates t b_exact ~ordinal in
-  let a2 = bucket_candidates t b_label ~ordinal in
-  let a3 = bucket_candidates t b_rest ~ordinal in
+  let a1 = candidates b_exact and a2 = candidates (find ix.by_label label) in
+  let a3 = candidates b_rest in
   let n1 = Array.length a1 and n2 = Array.length a2 and n3 = Array.length a3 in
-  let i1 = ref 0 and i2 = ref 0 and i3 = ref 0 in
-  let scanned = ref 0 in
-  let guard_seen = ref false in
-  let result = ref None in
-  while !result = None && (!i1 < n1 || !i2 < n2 || !i3 < n3) do
-    (* Next candidate in rule order: smallest head of the three arrays
-       (disjoint by construction — a rule lives in exactly one bucket per
-       subject kind, S_any aside, and S_any never coexists with an exact
-       or label entry for the same rule). *)
-    let h1 = if !i1 < n1 then a1.(!i1) else max_int in
-    let h2 = if !i2 < n2 then a2.(!i2) else max_int in
-    let h3 = if !i3 < n3 then a3.(!i3) else max_int in
-    let pick = min h1 (min h2 h3) in
-    if pick = h1 then incr i1 else if pick = h2 then incr i2 else incr i3;
-    incr scanned;
-    let r = t.rules.(pick) in
-    if subject_matches r.subject ~subject ~label && command_matches r.command ~ordinal then
-      match r.guard with
-      | G_none ->
-          result :=
-            Some
-              {
-                verdict = r.verdict;
-                matched_line = Some r.line;
-                needs_measurement = !guard_seen;
-                scanned = !scanned;
-              }
-      | G_measured ->
-          if measured_ok () then
-            result :=
-              Some
-                {
-                  verdict = r.verdict;
-                  matched_line = Some r.line;
-                  needs_measurement = true;
-                  scanned = !scanned;
-                }
-          else guard_seen := true
-  done;
-  match !result with
-  | Some d -> d
-  | None ->
-      { verdict = t.default; matched_line = None; needs_measurement = !guard_seen; scanned = !scanned }
+  (* Next candidate in rule order: smallest head of the three arrays
+     (disjoint by construction — a rule lives in exactly one bucket per
+     subject kind). Every candidate matches the request's subject and
+     command, so only its guard can pass it over. *)
+  let rec go i1 i2 i3 examined guard_seen =
+    let h1 = if i1 < n1 then a1.(i1) else max_int in
+    let h2 = if i2 < n2 then a2.(i2) else max_int in
+    let h3 = if i3 < n3 then a3.(i3) else max_int in
+    let pick = imin h1 (imin h2 h3) in
+    if pick = max_int then
+      {
+        verdict = t.default;
+        matched_line = None;
+        reason = "default";
+        needs_measurement = guard_seen;
+        scanned = examined;
+        linear_scanned = Array.length t.rules;
+      }
+    else
+      let r = t.rules.(pick) in
+      let guarded = r.guard = G_measured in
+      if (not guarded) || measured_ok () then
+        {
+          verdict = r.verdict;
+          matched_line = Some r.line;
+          reason = ix.reasons.(pick);
+          needs_measurement = guard_seen || guarded;
+          scanned = examined + 1;
+          linear_scanned = pick + 1;
+        }
+      else
+        go
+          (if pick = h1 then i1 + 1 else i1)
+          (if pick = h2 then i2 + 1 else i2)
+          (if pick = h3 then i3 + 1 else i3)
+          (examined + 1) true
+  in
+  go 0 0 0 0 false
 
 (* --- Parsing ----------------------------------------------------------------- *)
 

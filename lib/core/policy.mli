@@ -53,15 +53,16 @@ val command_matches : command_sel -> ordinal:int -> bool
 type decision = {
   verdict : verdict;
   matched_line : int option;  (** [None]: the default applied *)
+  reason : string;  (** audit reason: ["rule@<line>"] or ["default"] *)
   needs_measurement : bool;  (** a [when measured] guard was evaluated *)
-  scanned : int;  (** rules examined (cost-model input) *)
+  scanned : int;  (** candidate rules the index examined *)
+  linear_scanned : int;
+      (** rules a first-match scan of the list examines: the deciding
+          rule's position + 1, or {!rule_count} (the cost-model input) *)
 }
 
-val eval :
-  t -> subject:Subject.t -> label:string -> ordinal:int -> measured_ok:(unit -> bool) -> decision
-(** First-match evaluation. [measured_ok] is consulted lazily, only when a
-    guarded rule matches; a guarded rule whose guard fails falls through
-    to later rules (conditional-allow semantics). *)
+val rules : t -> rule list
+(** The rules in source order. *)
 
 val has_guards : t -> bool
 (** Guarded decisions depend on mutable PCR state and must not be
@@ -69,18 +70,14 @@ val has_guards : t -> bool
 
 (** {1 Compiled index}
 
-    A first-match index over the rule list: per-subject-kind buckets keyed
-    by domid / dom0 process / label, plus a per-kind wildcard bucket, each
-    with memoised per-ordinal candidate lists. {!eval_indexed} merges the
-    candidate arrays in rule order, so the decision — verdict,
-    matched line, [needs_measurement] — is identical to the linear
-    {!eval} on every input (differential-tested), while [scanned] counts
-    only the candidates examined (never more than the linear scan). *)
+    The one evaluator: per-subject-kind buckets keyed by domid / dom0
+    process / label plus a per-kind wildcard bucket, each with candidate
+    arrays precomputed per command class and per ordinal a [C_ordinal]
+    rule names, so requests never grow the index. *)
 
 type index
 
 val compile : t -> index
-val indexed_policy : index -> t
 
 val eval_indexed :
   index ->
@@ -89,6 +86,9 @@ val eval_indexed :
   ordinal:int ->
   measured_ok:(unit -> bool) ->
   decision
+(** First-match evaluation. [measured_ok] is consulted lazily, only when a
+    guarded rule matches; a guarded rule whose guard fails falls through
+    to later rules (conditional-allow semantics). *)
 
 (** {1 Printing} *)
 

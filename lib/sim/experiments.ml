@@ -161,11 +161,11 @@ let vm_sweep ?(mode = Host.Improved_mode) ?quote_profile ~vm_counts ~total_ops ~
       (float_of_int n, r.Workload.throughput_ops_s))
     vm_counts
 
-(* Install an [n]-rule guarded policy with the given monitor fast paths. *)
-let guarded_policy host ~rules ~indexed ~guard_cache =
+(* Install an [n]-rule guarded policy under the given decision charge,
+   optionally with the generation-tagged guard cache. *)
+let guarded_policy host ~rules ~charge ~guard_cache =
   let monitor = Host.monitor_exn host in
-  Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-  Monitor.set_index_enabled monitor indexed;
+  Monitor.set_policy monitor ~charge (Policy.synthetic_guarded ~n:rules);
   Monitor.set_guard_cache_enabled monitor guard_cache
 
 let fig1 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(total_ops = 1920) () :
@@ -225,18 +225,18 @@ let fig8 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(lane_counts = [ 1; 2; 4; 8 ])
 
 let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(total_ops = 1920)
     () : (string * (float * float) list) list * string =
-  let series_for ~indexed ~guard_cache =
+  let series_for ~charge ~guard_cache =
     vm_sweep ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
       ~configure:(fun host _ ->
         Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
-        guarded_policy host ~rules ~indexed ~guard_cache)
+        guarded_policy host ~rules ~charge ~guard_cache)
       ()
   in
   let series =
     [
-      ("linear", series_for ~indexed:false ~guard_cache:false);
-      ("indexed", series_for ~indexed:true ~guard_cache:false);
-      ("indexed+gen-cache", series_for ~indexed:true ~guard_cache:true);
+      ("linear", series_for ~charge:Monitor.Linear_charge ~guard_cache:false);
+      ("indexed", series_for ~charge:Monitor.Index_charge ~guard_cache:false);
+      ("indexed+gen-cache", series_for ~charge:Monitor.Index_charge ~guard_cache:true);
     ]
   in
   let rendered =
@@ -254,7 +254,7 @@ let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(to
 
 let fig2 ?(rule_counts = [ 1; 16; 64; 256; 1024; 4096 ]) ?(reps = 400)
     ?(include_compiled = false) () : (string * (float * float) list) list * string =
-  let series_for ~cache ~indexed =
+  let series_for ~cache ~charge =
     List.map
       (fun n ->
         let host, tenants =
@@ -262,9 +262,8 @@ let fig2 ?(rule_counts = [ 1; 16; 64; 256; 1024; 4096 ]) ?(reps = 400)
         in
         let tenant = List.hd tenants in
         let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic ~n);
+        Monitor.set_policy monitor ~charge (Policy.synthetic ~n);
         Monitor.set_cache_enabled monitor cache;
-        if indexed then Monitor.set_index_enabled monitor true;
         let cost = Host.cost host in
         let m = Metrics.create () in
         for _ = 1 to reps do
@@ -279,14 +278,15 @@ let fig2 ?(rule_counts = [ 1; 16; 64; 256; 1024; 4096 ]) ?(reps = 400)
   in
   let series =
     [
-      ("cache-on", series_for ~cache:true ~indexed:false);
-      ("cache-off", series_for ~cache:false ~indexed:false);
+      ("cache-on", series_for ~cache:true ~charge:Monitor.Linear_charge);
+      ("cache-off", series_for ~cache:false ~charge:Monitor.Linear_charge);
     ]
     @
     (* Opt-in so the default rendering stays bit-identical to the seed:
-       the compiled index scans only candidate rules, flattening the
+       the index charge prices only candidate rules, flattening the
        cache-off curve. *)
-    if include_compiled then [ ("compiled", series_for ~cache:false ~indexed:true) ] else []
+    if include_compiled then [ ("compiled", series_for ~cache:false ~charge:Monitor.Index_charge) ]
+    else []
   in
   let rendered =
     Table.render_series
@@ -1868,7 +1868,7 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
   let series_for configure =
     vm_sweep ~vm_counts ~total_ops ~seed_base:50 ~mix:Workload.mixed
       ~configure:(fun host n ->
-        guarded_policy host ~rules ~indexed:true ~guard_cache:true;
+        guarded_policy host ~rules ~charge:Monitor.Index_charge ~guard_cache:true;
         configure host n)
       ()
   in
@@ -2092,7 +2092,7 @@ let fig14 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(total_ops
   let series_for quote_profile =
     vm_sweep ~quote_profile ~vm_counts ~total_ops ~seed_base:70 ~mix:Workload.attestation_heavy
       ~configure:(fun host _ ->
-        guarded_policy host ~rules ~indexed:true ~guard_cache:true;
+        guarded_policy host ~rules ~charge:Monitor.Index_charge ~guard_cache:true;
         ignore (Host.enable_sharding host ()))
       ()
   in

@@ -12,7 +12,8 @@ module Cost = Vtpm_util.Cost
 
 type shard = {
   group_id : int; (* registry-assigned, > 0 (0 means "ungrouped") *)
-  label : string; (* tenant label; also the audit stream tag *)
+  label : string; (* tenant label *)
+  audit_tag : string; (* "group:<label>", appended to routed requests' audit reasons *)
   pool : Cost.Lanes.pool; (* this shard's private lane pool *)
   mutable members : int; (* live instances assigned to this group *)
 }
@@ -50,6 +51,7 @@ let intern t ~label =
         {
           group_id;
           label;
+          audit_tag = "group:" ^ label;
           pool = Cost.Lanes.create ~placement:Cost.Lanes.Least_loaded t.lanes_per_shard;
           members = 0;
         }
@@ -66,10 +68,6 @@ let shards t =
   |> List.sort (fun a b -> Stdlib.compare a.group_id b.group_id)
 
 let count t = Hashtbl.length t.by_id
-
-(* Audit stream tag for a shard — appended to audit reasons so one
-   tenant's entries can be filtered without parsing subjects. *)
-let audit_tag s = Printf.sprintf "group:%s" s.label
 
 (* Drain every shard pool into the meter: elapsed time over a sharded
    burst is the max horizon across all shards. *)

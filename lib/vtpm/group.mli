@@ -8,7 +8,8 @@
 
 type shard = {
   group_id : int;  (** registry-assigned, > 0 (0 means "ungrouped") *)
-  label : string;  (** tenant label; also the audit stream tag *)
+  label : string;  (** tenant label *)
+  audit_tag : string;  (** ["group:<label>"], appended to routed requests' audit reasons *)
   pool : Vtpm_util.Cost.Lanes.pool;  (** this shard's private lane pool *)
   mutable members : int;  (** live instances assigned to this group *)
 }
@@ -32,10 +33,6 @@ val shards : t -> shard list
 (** All shards, sorted by group id. *)
 
 val count : t -> int
-
-val audit_tag : shard -> string
-(** Audit stream tag (["group:<label>"]), appended to audit reasons of
-    requests routed through the shard. *)
 
 val sync : t -> Vtpm_util.Cost.t -> unit
 (** Drain every shard pool into the meter: elapsed time over a sharded

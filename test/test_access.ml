@@ -93,8 +93,11 @@ let test_policy_parse_ordinal_forms () =
   let p = parse_ok "allow guest:* TPM_Extend\nallow guest:* ord:14\n" in
   check_i "both forms" 2 (Policy.rule_count p)
 
+(* The library's evaluator: compile, then decide through the index. *)
+let eval p = Policy.eval_indexed (Policy.compile p)
+
 let eval_verdict p ~subject ~label ~ordinal =
-  (Policy.eval p ~subject ~label ~ordinal ~measured_ok:(fun () -> true)).Policy.verdict
+  (eval p ~subject ~label ~ordinal ~measured_ok:(fun () -> true)).Policy.verdict
 
 let test_policy_first_match_wins () =
   let p = parse_ok "default allow\ndeny guest:3 TPM_Quote\nallow guest:* TPM_Quote\n" in
@@ -142,7 +145,7 @@ let test_policy_guard_fallthrough () =
     parse_ok "default deny\nallow guest:* class:measurement when measured\ndeny guest:* class:measurement\n"
   in
   let eval ok =
-    (Policy.eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
+    (eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
        ~measured_ok:(fun () -> ok))
       .Policy.verdict
   in
@@ -154,7 +157,7 @@ let test_policy_guard_lazy () =
   let p = parse_ok "default deny\nallow guest:* class:sealing when measured\n" in
   let called = ref false in
   let _ =
-    Policy.eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
+    eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
       ~measured_ok:(fun () ->
         called := true;
         true)
@@ -164,15 +167,16 @@ let test_policy_guard_lazy () =
 let test_policy_scanned_counts () =
   let p = parse_ok "default deny\nallow guest:9 *\nallow guest:* TPM_Extend\n" in
   let d =
-    Policy.eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
+    eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_extend
       ~measured_ok:(fun () -> true)
   in
-  check_i "scanned to second rule" 2 d.Policy.scanned;
+  check_i "linear count to second rule" 2 d.Policy.linear_scanned;
+  check_i "one candidate examined" 1 d.Policy.scanned;
   let d2 =
-    Policy.eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_quote
+    eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal:Vtpm_tpm.Types.ord_quote
       ~measured_ok:(fun () -> true)
   in
-  check_i "scanned all on default" 2 d2.Policy.scanned
+  check_i "linear count is all rules on default" 2 d2.Policy.linear_scanned
 
 let test_policy_validate_shadowing () =
   let p = parse_ok "allow guest:* class:measurement\nallow guest:3 TPM_Extend\n" in
@@ -230,7 +234,7 @@ let test_policy_print_roundtrip () =
           List.iter
             (fun measured ->
               let v p =
-                (Policy.eval p ~subject ~label ~ordinal ~measured_ok:(fun () -> measured))
+                (eval p ~subject ~label ~ordinal ~measured_ok:(fun () -> measured))
                   .Policy.verdict
               in
               check_b "same decision" true (v p = v p2))
@@ -260,42 +264,60 @@ let prop_policy_parse_stable =
 
 (* --- Compiled policy index ------------------------------------------------------ *)
 
+(* Evaluate one request with both the compiled index and the linear
+   oracle ({!Policy_ref}), each with its own counting gate. The two agree
+   when verdict, matched line, [needs_measurement] and the number of gate
+   calls are equal, the index's [linear_scanned] is the oracle's
+   [scanned], and the index examines no more candidates than that. *)
+let eval_both p ix ~subject ~label ~ordinal ~measured =
+  let gate calls () =
+    incr calls;
+    measured
+  in
+  let lin_calls = ref 0 and idx_calls = ref 0 in
+  let lin = Policy_ref.eval p ~subject ~label ~ordinal ~measured_ok:(gate lin_calls) in
+  let idx = Policy.eval_indexed ix ~subject ~label ~ordinal ~measured_ok:(gate idx_calls) in
+  let agree =
+    lin.Policy_ref.verdict = idx.Policy.verdict
+    && lin.Policy_ref.matched_line = idx.Policy.matched_line
+    && lin.Policy_ref.needs_measurement = idx.Policy.needs_measurement
+    && lin.Policy_ref.scanned = idx.Policy.linear_scanned
+    && idx.Policy.scanned <= lin.Policy_ref.scanned
+    && !lin_calls = !idx_calls
+  in
+  (lin, idx, agree)
+
 (* Deterministic check on the canned policies: the compiled index returns
    the same decision as the linear scan while examining only candidates. *)
 let test_policy_index_candidates () =
   let p = Policy.synthetic ~n:4096 in
   let ix = Policy.compile p in
-  let subject = Subject.Guest 3 in
-  let eval_both ~ordinal ~measured =
-    let measured_ok () = measured in
-    let lin = Policy.eval p ~subject ~label:"tenant_x" ~ordinal ~measured_ok in
-    let idx = Policy.eval_indexed ix ~subject ~label:"tenant_x" ~ordinal ~measured_ok in
-    check_b "verdict equal" true (lin.Policy.verdict = idx.Policy.verdict);
-    check_b "line equal" true (lin.Policy.matched_line = idx.Policy.matched_line);
-    check_b "needs_measurement equal" true
-      (lin.Policy.needs_measurement = idx.Policy.needs_measurement);
-    check_b "indexed scans fewer" true (idx.Policy.scanned <= lin.Policy.scanned);
-    (lin, idx)
+  let subject = Subject.Guest 3 and label = "tenant_x" in
+  let lin, idx, agree =
+    eval_both p ix ~subject ~label ~ordinal:Vtpm_tpm.Types.ord_pcr_read ~measured:true
   in
-  let lin, idx = eval_both ~ordinal:Vtpm_tpm.Types.ord_pcr_read ~measured:true in
+  check_b "index agrees with the oracle" true agree;
   (* The 4096 never-matching guest rules are not candidates for guest 3:
-     the index examines only the wildcard tail. *)
-  check_b "linear scans thousands" true (lin.Policy.scanned > 4000);
+     the index examines only the wildcard tail, yet still reports the
+     linear count the cost model charges. *)
+  check_b "linear scans thousands" true (lin.Policy_ref.scanned > 4000);
   check_b "index scans a handful" true (idx.Policy.scanned <= 16);
   List.iter
     (fun ordinal ->
-      ignore (eval_both ~ordinal ~measured:true);
-      ignore (eval_both ~ordinal ~measured:false))
-    Vtpm_tpm.Types.all_ordinals
+      List.iter
+        (fun measured ->
+          let _, _, agree = eval_both p ix ~subject ~label ~ordinal ~measured in
+          check_b (Vtpm_tpm.Types.ordinal_name ordinal) true agree)
+        [ true; false ])
+    (0x9999 :: Vtpm_tpm.Types.all_ordinals)
 
-(* Differential property: on randomized policies, the compiled decision —
-   verdict, matched line, needs_measurement — is identical to the linear
-   eval for every subject x label x ordinal x guard outcome, and the
-   indexed [scanned] never exceeds the linear one. *)
-let prop_policy_index_differential =
+(* Random policy source: up to 25 rules over a small pool of subject and
+   command selectors (guest domids 0-2, labels l0/l1, named and unnamed
+   ordinals), with and without guards. *)
+let policy_src_gen =
   let subject_sels = [ "guest:0"; "guest:1"; "guest:2"; "guest:*"; "dom0:p0"; "dom0:p1"; "dom0:*"; "label:l0"; "label:l1"; "*" ] in
   let command_sels =
-    [ "*"; "class:measurement"; "class:sealing"; "class:admin"; "class:info"; "TPM_Quote"; "TPM_Extend"; "TPM_PCRRead"; "ord:14" ]
+    [ "*"; "class:measurement"; "class:sealing"; "class:admin"; "class:info"; "TPM_Quote"; "TPM_Extend"; "TPM_PCRRead"; "ord:14"; "ord:9999" ]
   in
   let rule_gen =
     QCheck.Gen.(
@@ -308,14 +330,21 @@ let prop_policy_index_differential =
             (if g then " when measured" else ""))
         (quad bool (int_bound 100) (int_bound 100) bool))
   in
-  QCheck.Test.make ~name:"compiled index decision == linear eval" ~count:60
-    (QCheck.make
-       QCheck.Gen.(pair bool (list_size (int_bound 25) rule_gen)))
+  QCheck.Gen.map
     (fun (default_allow, lines) ->
-      let src =
-        String.concat "\n"
-          ((if default_allow then "default allow" else "default deny") :: lines)
-      in
+      String.concat "\n" ((if default_allow then "default allow" else "default deny") :: lines))
+    QCheck.Gen.(pair bool (list_size (int_bound 25) rule_gen))
+
+let index_test_ordinals =
+  Vtpm_tpm.Types.[ ord_extend; ord_pcr_read; ord_quote; ord_seal; ord_force_clear; 0x9999; 0x7777 ]
+
+(* Differential property: on randomized policies, the compiled decision
+   agrees with the linear oracle (see [eval_both]) for every subject x
+   label x ordinal x guard outcome. *)
+let prop_policy_index_differential =
+  QCheck.Test.make ~name:"compiled index decision == linear eval" ~count:60
+    (QCheck.make ~print:Fun.id policy_src_gen)
+    (fun src ->
       let p = Policy.parse_exn src in
       let ix = Policy.compile p in
       let subjects =
@@ -326,24 +355,16 @@ let prop_policy_index_differential =
             (fun pr -> List.map (fun l -> (Subject.Dom0_process pr, l)) [ "l0"; "dom0" ])
             [ "p0"; "p1"; "p9" ]
       in
-      let ordinals =
-        Vtpm_tpm.Types.[ ord_extend; ord_pcr_read; ord_quote; ord_seal; ord_force_clear; 0x9999 ]
-      in
       List.for_all
         (fun (subject, label) ->
           List.for_all
             (fun ordinal ->
               List.for_all
                 (fun measured ->
-                  let measured_ok () = measured in
-                  let lin = Policy.eval p ~subject ~label ~ordinal ~measured_ok in
-                  let idx = Policy.eval_indexed ix ~subject ~label ~ordinal ~measured_ok in
-                  lin.Policy.verdict = idx.Policy.verdict
-                  && lin.Policy.matched_line = idx.Policy.matched_line
-                  && lin.Policy.needs_measurement = idx.Policy.needs_measurement
-                  && idx.Policy.scanned <= lin.Policy.scanned)
+                  let _, _, agree = eval_both p ix ~subject ~label ~ordinal ~measured in
+                  agree)
                 [ true; false ])
-            ordinals)
+            index_test_ordinals)
         subjects)
 
 (* --- Audit -------------------------------------------------------------------------- *)
@@ -506,7 +527,7 @@ let test_shipped_default_policy () =
   List.iter
     (fun ordinal ->
       let v pol =
-        (Policy.eval pol ~subject:(Subject.Guest 3) ~label:"l" ~ordinal
+        (eval pol ~subject:(Subject.Guest 3) ~label:"l" ~ordinal
            ~measured_ok:(fun () -> true))
           .Policy.verdict
       in
@@ -517,7 +538,7 @@ let test_shipped_measured_policy () =
   let p = parse_ok (read_file "measured.policy") in
   check_b "has guards" true (Policy.has_guards p);
   let v measured ordinal =
-    (Policy.eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal
+    (eval p ~subject:(Subject.Guest 1) ~label:"l" ~ordinal
        ~measured_ok:(fun () -> measured))
       .Policy.verdict
   in
@@ -536,10 +557,10 @@ let test_shipped_acm_policy () =
 
 (* --- Monitor ------------------------------------------------------------------------- *)
 
-let mk_monitor () =
+let mk_monitor ?charge () =
   let xen = Vtpm_xen.Hypervisor.create () in
   let mgr = Vtpm_mgr.Manager.create ~rsa_bits:256 ~seed:61 ~cost:xen.Vtpm_xen.Hypervisor.cost () in
-  let monitor = Monitor.create ~xen ~mgr () in
+  let monitor = Monitor.create ~xen ~mgr ?charge () in
   (xen, mgr, monitor)
 
 let add_guest xen domid_name =
@@ -903,14 +924,14 @@ let test_monitor_forget_subject_key_index () =
   ignore (router ~sender:d1 ~claimed_instance:v1 ~wire:pcr_read_wire);
   check_i "departed subject misses" 1 (Monitor.stats monitor).Monitor.cache_hits
 
-(* Indexed evaluation is a pure perf switch: verdicts match the linear
-   monitor for every ordinal while scanning strictly fewer rules. *)
+(* The charge is a price, not a code path: verdicts are identical under
+   both charges for every ordinal, while the index charge counts strictly
+   fewer rules. *)
 let test_monitor_indexed_mode_equivalence () =
-  let run ~indexed =
-    let xen, mgr, monitor = mk_monitor () in
+  let run ~charge =
+    let xen, mgr, monitor = mk_monitor ~charge () in
     let d, _ = bind_guest xen mgr monitor "g1" in
     Monitor.set_cache_enabled monitor false;
-    Monitor.set_index_enabled monitor indexed;
     let binding = Binding.lookup_domid monitor.Monitor.bindings d in
     Monitor.reset_stats monitor;
     let verdicts =
@@ -921,10 +942,70 @@ let test_monitor_indexed_mode_equivalence () =
     in
     (verdicts, (Monitor.stats monitor).Monitor.rules_scanned)
   in
-  let linear_verdicts, linear_scanned = run ~indexed:false in
-  let indexed_verdicts, indexed_scanned = run ~indexed:true in
+  let linear_verdicts, linear_scanned = run ~charge:Monitor.Linear_charge in
+  let indexed_verdicts, indexed_scanned = run ~charge:Monitor.Index_charge in
   check_b "verdicts identical" true (linear_verdicts = indexed_verdicts);
   check_b "index scans fewer rules" true (indexed_scanned < linear_scanned)
+
+(* Under the linear charge a decision costs exactly the paper's model:
+   one lookup, one rule-scan step per rule the oracle's first-match scan
+   examines, and one gate per measurement check. Cache off, so every
+   request is a fresh decision. *)
+let prop_monitor_linear_charge =
+  QCheck.Test.make ~name:"linear charge == lookup + scan x oracle count + gates" ~count:30
+    (QCheck.make
+       ~print:(fun (src, tampered) -> Printf.sprintf "%s\n(tampered=%b)" src tampered)
+       QCheck.Gen.(pair policy_src_gen bool))
+    (fun (src, tampered) ->
+      let p = Policy.parse_exn src in
+      let xen, mgr, monitor = mk_monitor () in
+      Monitor.set_policy monitor p;
+      Monitor.set_cache_enabled monitor false;
+      let d, _ = bind_guest xen mgr monitor "g1" in
+      let label = (Vtpm_xen.Hypervisor.domain_exn xen d).Vtpm_xen.Domain.label in
+      if tampered then
+        Vtpm_xen.Domain.set_kernel (Vtpm_xen.Hypervisor.domain_exn xen d) ~image:"patched-kernel";
+      let binding = Binding.lookup_domid monitor.Monitor.bindings d in
+      let subject = Subject.Guest d in
+      let cost = xen.Vtpm_xen.Hypervisor.cost in
+      List.for_all
+        (fun ordinal ->
+          let gates0 = (Monitor.stats monitor).Monitor.gate_checks in
+          let t0 = Vtpm_util.Cost.now cost in
+          ignore (Monitor.decide monitor ~subject ~ordinal ~binding);
+          let delta = Vtpm_util.Cost.now cost -. t0 in
+          let gates = (Monitor.stats monitor).Monitor.gate_checks - gates0 in
+          let oracle =
+            Policy_ref.eval p ~subject ~label ~ordinal ~measured_ok:(fun () -> not tampered)
+          in
+          let expected =
+            Vtpm_util.Cost.monitor_lookup_us
+            +. (Vtpm_util.Cost.monitor_rule_scan_us *. float_of_int oracle.Policy_ref.scanned)
+            +. (float_of_int gates *. Vtpm_util.Cost.monitor_measure_gate_us)
+          in
+          Float.abs (delta -. expected) < 1e-6)
+        index_test_ordinals)
+
+(* A guest cycling junk ordinals must not grow monitor state: verdicts are
+   cached only for ordinals the engine implements, and the compiled index
+   memoises nothing at request time. *)
+let test_monitor_junk_ordinals_bounded () =
+  let xen, mgr, monitor = mk_monitor () in
+  let d, vid = bind_guest xen mgr monitor "g1" in
+  Monitor.set_audit_cap monitor (Some 64);
+  let router = Monitor.router monitor in
+  let index_words () = Obj.reachable_words (Obj.repr monitor.Monitor.index) in
+  let words_before = index_words () in
+  let frame = Bytes.of_string pcr_read_wire in
+  for i = 0 to 9_999 do
+    (* TPM 1.2 request header: tag (2 bytes), size (4), ordinal (4). *)
+    Bytes.set_int32_be frame 6 (Int32.of_int (0x10000 + i));
+    ignore (router ~sender:d ~claimed_instance:vid ~wire:(Bytes.to_string frame))
+  done;
+  check_i "every junk frame decided" 10_000 (Monitor.stats monitor).Monitor.lookups;
+  check_b "cache holds engine ordinals only" true
+    (Hashtbl.length monitor.Monitor.cache <= List.length Vtpm_tpm.Types.all_ordinals);
+  check_i "index size unchanged" words_before (index_words ())
 
 (* --- ACM (Chinese Wall + Type Enforcement) -------------------------------------- *)
 
@@ -1192,6 +1273,8 @@ let suite =
     Alcotest.test_case "guard cache reload resets" `Quick test_monitor_guard_cache_reload_resets;
     Alcotest.test_case "forget_subject key index" `Quick test_monitor_forget_subject_key_index;
     Alcotest.test_case "indexed mode equivalence" `Quick test_monitor_indexed_mode_equivalence;
+    QCheck_alcotest.to_alcotest prop_monitor_linear_charge;
+    Alcotest.test_case "junk ordinals bounded" `Quick test_monitor_junk_ordinals_bounded;
     Alcotest.test_case "acm chinese wall" `Quick test_acm_chinese_wall;
     Alcotest.test_case "acm lookup tables" `Quick test_acm_lookup_tables;
     Alcotest.test_case "acm ste" `Quick test_acm_ste;

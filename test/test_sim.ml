@@ -258,7 +258,59 @@ let test_seed_figures_frozen () =
   Alcotest.(check string)
     "fig12 rendered table unchanged"
     "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2"
-    (Vtpm_crypto.Sha256.hexdigest fig12)
+    (Vtpm_crypto.Sha256.hexdigest fig12);
+  (* The remaining paper tables and figures at default arguments, plus the
+     attack battery's full outcome text (table2's detail column), captured
+     before the linear policy scan stopped deciding requests and became a
+     cost count. *)
+  let frozen name expected rendered =
+    Alcotest.(check string)
+      (name ^ " rendered output unchanged")
+      expected (Vtpm_crypto.Sha256.hexdigest rendered)
+  in
+  frozen "table1"
+    "37326661307e664ea09b321050bcfd2e70dac83dba53c74064d07166f07027ad"
+    (snd (Vtpm_sim.Experiments.table1 ()));
+  frozen "table3"
+    "baf2ffc48ae365054ce885f5fdc4dc04aa4637de2015776d75872becd5cd6df5"
+    (snd (Vtpm_sim.Experiments.table3 ()));
+  frozen "fig2"
+    "abda3cc46f83810cc4f80597a11c7e549c9b67ccb3adcbc403420d152d11dc4b"
+    (snd (Vtpm_sim.Experiments.fig2 ()));
+  frozen "fig2 compiled"
+    "06d5cabe6bcf4b7a9c4b44029a46ce2f33beb43407c9e289e28c1db30511fd21"
+    (snd (Vtpm_sim.Experiments.fig2 ~include_compiled:true ()));
+  frozen "fig3"
+    "f7cfd8130aa592ccd5dac46372f43776799f2d66285660aab2dc0fdc606b98b1"
+    (snd (Vtpm_sim.Experiments.fig3 ()));
+  frozen "fig4"
+    "6171f8b88587f8c0a575482e46d4383f89e030ef9bffaf15efdc917cb57aa01d"
+    (snd (Vtpm_sim.Experiments.fig4 ()));
+  frozen "fig5"
+    "d94cb34264e5be2831d45dbe7aae98e49d804b768ce1f8d753e785e7b6fc608a"
+    (snd (Vtpm_sim.Experiments.fig5 ()));
+  frozen "table4"
+    "7c44b6d7d3058425e13932e9447efdb94768a8ab3f085fd1ca33c6ecc8513973"
+    (snd (Vtpm_sim.Experiments.table4 ()));
+  frozen "fig6"
+    "be9b5e299d0b36f5bd625130c8d6ed41fc5b3f9a114cc45fbae10004ea6d2970"
+    (snd (Vtpm_sim.Experiments.fig6 ()));
+  frozen "table5"
+    "032a0f58b518cce32927eb3a52e3b088caba47a43c8304db9751c184bacbcde3"
+    (snd (Vtpm_sim.Experiments.table5 ()));
+  frozen "fig7"
+    "b22035167e4c7e1353e489cbe66fac53b3595836bbb2ea98a2aa2f5f1ff0ebbc"
+    (snd (Vtpm_sim.Experiments.fig7 ()));
+  frozen "attack battery"
+    "f2bc142e5691fe4fd9283de0e63dc7a7a328d26518519ecc5dc3c21096f727dc"
+    (String.concat "\n"
+       (List.concat_map
+          (fun mode ->
+            List.map
+              (fun (o : Vtpm_attacks.Attack.outcome) ->
+                Printf.sprintf "%s|%s|%b|%s" (Host.mode_name mode) o.attack o.succeeded o.detail)
+              (Vtpm_attacks.Attack.run_battery ~mode))
+          [ Host.Baseline_mode; Host.Improved_mode ]))
 
 let test_fig14_shape () =
   (* Small-scale: the measured-crt series must dominate. *)
