@@ -347,6 +347,40 @@ let bench_sign_16_keys () =
          ignore (Vtpm_crypto.Rsa.sign keys.(!next land 15) ~digest);
          incr next))
 
+(* The transport's guest-count curve: hosts with 1, 16, 64 and 256
+   connected guests. [empty-kick] is one backend kick with no ring
+   needing service; [pcr-read] is one monitored [Driver.request] from the
+   first guest. Both should cost the same at every guest count. Only
+   [bench micro] runs these, outside [bench_primitives] and its
+   same-process ratio floors. *)
+let bench_driver_guest_counts () =
+  let pcr_read = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 }) in
+  List.concat_map
+    (fun g ->
+      let host = Vtpm_access.Host.create ~mode:Vtpm_access.Host.Improved_mode ~seed:31 () in
+      let guests =
+        List.init g (fun i ->
+            Vtpm_access.Host.create_guest_exn host ~name:(Printf.sprintf "g%d" i)
+              ~label:"tenant_a" ())
+      in
+      let backend = host.Vtpm_access.Host.backend in
+      let conn = (List.hd guests).Vtpm_access.Host.conn in
+      (match Vtpm_mgr.Driver.request backend conn ~wire:pcr_read with
+      | Ok (Vtpm_mgr.Proto.Ok_routed, _) -> ()
+      | _ -> invalid_arg "driver bench: pcr read not routed");
+      [
+        Test.make
+          ~name:(Printf.sprintf "driver/empty-kick-g%d" g)
+          (Staged.stage (fun () -> ignore (Vtpm_mgr.Driver.process_pending backend)));
+        Test.make
+          ~name:(Printf.sprintf "driver/pcr-read-g%d" g)
+          (Staged.stage (fun () ->
+               match Vtpm_mgr.Driver.request backend conn ~wire:pcr_read with
+               | Ok (Vtpm_mgr.Proto.Ok_routed, _) -> ()
+               | _ -> invalid_arg "driver bench: pcr read not routed"));
+      ])
+    [ 1; 16; 64; 256 ]
+
 (* Run a list of Bechamel tests and return sorted (name, ns/run) rows. *)
 let measure_tests tests : (string * float) list =
   let grouped = Test.make_grouped ~name:"vtpm" tests in
@@ -391,6 +425,7 @@ let run_micro () =
       bench_migrate ();
       bench_sign_16_keys ();
     ]
+    @ bench_driver_guest_counts ()
     @ bench_primitives ()
   in
   render_micro (measure_tests tests)

@@ -42,6 +42,9 @@ type connection = {
   mutable ring_frame : int; (* backing frame recorded at the handshake *)
   mutable connected : bool;
   mutable reconnects : int;
+  instance_path : string; (* XenStore [.../instance] node, read per request *)
+  mutable order : int; (* list position key: later insertions come first *)
+  mutable attention : bool; (* in the backend's attention set *)
 }
 
 (* Routing decision + execution, supplied by the access-control layer. *)
@@ -119,6 +122,14 @@ type backend = {
          backoffs) charges the sink instead of the global meter — modeling
          a per-shard frontend whose transport work runs on its replica.
          The default (fun _ -> None) keeps charges byte-identical. *)
+  (* Attention set: connections whose ring may need service, raised by
+     the ring's work hook. A kick serves only these, in [connections]
+     order, so its cost does not grow with the number of idle guests. *)
+  mutable attention : connection list;
+  mutable next_order : int;
+  mutable validated_gen : int;
+      (* grant generation at the start of the last completed validation
+         walk over every connection; -1 before the first *)
 }
 
 let vtpm_fe_path fe = Printf.sprintf "/local/domain/%d/device/vtpm/0" fe
@@ -148,6 +159,9 @@ let create_backend ?resilience ~xen ~be_domid ~router () =
     on_transport_tamper = (fun _ _ -> ());
     transport_tampers = 0;
     lane_sink = (fun _ -> None);
+    attention = [];
+    next_order = 0;
+    validated_gen = -1;
   }
 
 let set_validate_transport (backend : backend) v = backend.validate_transport <- v
@@ -174,6 +188,28 @@ let transport_ok (backend : backend) (conn : connection) : (unit, string) result
 let transport_tamper (backend : backend) (conn : connection) reason =
   backend.transport_tampers <- backend.transport_tampers + 1;
   backend.on_transport_tamper conn.fe_domid reason
+
+let mark_attention (backend : backend) (conn : connection) =
+  if not conn.attention then begin
+    conn.attention <- true;
+    backend.attention <- conn :: backend.attention
+  end
+
+let clear_attention (backend : backend) (conn : connection) =
+  if conn.attention then begin
+    conn.attention <- false;
+    backend.attention <- List.filter (fun c -> c != conn) backend.attention
+  end
+
+(* Put [conn] at the head of the connection list with a fresh order key,
+   and hook its ring's work signal to the attention set. *)
+let enlist (backend : backend) (conn : connection) =
+  conn.order <- backend.next_order;
+  backend.next_order <- backend.next_order + 1;
+  backend.connections <- conn :: backend.connections
+
+let watch_ring (backend : backend) (conn : connection) =
+  Ring.set_on_work conn.ring (fun () -> mark_attention backend conn)
 
 (* Toolstack step: publish the device nodes for a new vTPM attachment.
    Runs as dom0. The guest may read its own device directory. *)
@@ -264,9 +300,13 @@ let connect (backend : backend) ~(fe_domid : Domain.domid) : (connection, string
                     ring_frame;
                     connected = true;
                     reconnects = 0;
+                    instance_path = base ^ "/instance";
+                    order = 0;
+                    attention = false;
                   }
                 in
-                backend.connections <- conn :: backend.connections;
+                watch_ring backend conn;
+                enlist backend conn;
                 Ok conn)
 
 (* Reconnection handshake after a backend crash (or torn link): drop the
@@ -291,8 +331,8 @@ let reconnect (backend : backend) (conn : connection) : (unit, string) result =
         conn.ring_frame <- ring_frame;
         conn.connected <- true;
         conn.reconnects <- conn.reconnects + 1;
-        if not (List.memq conn backend.connections) then
-          backend.connections <- conn :: backend.connections;
+        watch_ring backend conn;
+        if not (List.memq conn backend.connections) then enlist backend conn;
         Ok ()
   end
 
@@ -337,97 +377,138 @@ let restart_backend (backend : backend) =
     backend.on_restart ()
   end
 
-(* Backend pump: drain every connected ring, route, respond. The sender
-   identity passed to the router is the ring's frontend — recorded by the
-   hypervisor-mediated connect, unforgeable from inside the frame.
+(* Backend pump: drain the connected rings that need service, route,
+   respond. The sender identity passed to the router is the ring's
+   frontend — recorded by the hypervisor-mediated connect, unforgeable
+   from inside the frame.
 
    Fault surface: each popped slot passes through the injector (corruption
    and truncation land here, and are caught by the v2 frame CRC), and the
    manager can crash under us — the popped request dies with it,
    unexecuted, which is what makes crash recovery crash-consistent. *)
+let drain_ring (backend : backend) (conn : connection) (processed : int ref) =
+  let faults = backend.xen.Hypervisor.faults in
+  (* Validated pop when hardening is on: an index/queue divergence is
+     audited once, the indices re-derived from the genuine frames, and
+     the drain continues — the victim's real requests still get served. *)
+  let pop () =
+    if not backend.validate_transport then Ring.pop_request conn.ring
+    else
+      match Ring.pop_request_validated conn.ring with
+      | Ok s -> s
+      | Error reason -> (
+          transport_tamper backend conn reason;
+          Ring.sanitize_indices conn.ring;
+          match Ring.pop_request_validated conn.ring with Ok s -> s | Error _ -> None)
+  in
+  let rec drain () =
+    match pop () with
+    | None -> ()
+    | Some { Ring.id; payload; pusher } ->
+        if Faults.fire faults Faults.Manager_crash then begin
+          crash_backend backend;
+          raise Exit
+        end;
+        let sender = Ring.frontend conn.ring in
+        if backend.validate_transport && pusher <> sender then begin
+          (* Injected frame: the page says someone other than the ring's
+             frontend wrote it. Refuse to route it (a Denied response
+             fills the slot so the id cannot be replayed) and keep
+             draining genuine frames. *)
+          transport_tamper backend conn
+            (Printf.sprintf "injected ring frame from domain %d" pusher);
+          ignore
+            (Ring.push_response conn.ring ~id
+               (Proto.encode_response Proto.Denied "injected ring frame rejected"));
+          drain ()
+        end
+        else begin
+          incr processed;
+          let payload = Faults.maybe_mutate faults payload in
+          let reply =
+            match Proto.decode_request payload with
+            | Error m -> Proto.encode_response Proto.Bad_frame m
+            | Ok (claimed_instance, wire) -> (
+                match backend.router ~sender ~claimed_instance ~wire with
+                | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
+                | Error reason -> Proto.encode_response Proto.Denied reason)
+          in
+          (match Ring.push_response conn.ring ~id reply with
+          | Ok () ->
+              ignore (Hypervisor.notify backend.xen ~domid:conn.be_domid ~port:conn.be_port)
+          | Error _ -> () (* response ring full: drop, frontend times out *));
+          drain ()
+        end
+  in
+  drain ()
+
+(* One connection's turn in a kick. With [validate], grant-level
+   integrity comes first: a remapped, revoked or vanished ring grant means
+   every frame on the page is suspect — tear the link (a resilient
+   frontend reconnects with a fresh grant; the in-flight request fails
+   with an audited denial). A ring left needing service (a stale slot
+   the naive pop stopped at, or an index it refused) stays in the
+   attention set for the next kick. *)
+let serve_connection (backend : backend) (conn : connection) ~validate processed =
+  clear_attention backend conn;
+  if conn.connected && backend.alive then begin
+    let grant_ok =
+      (not validate)
+      ||
+      match transport_ok backend conn with
+      | Ok () -> true
+      | Error reason ->
+          transport_tamper backend conn reason;
+          conn.connected <- false;
+          false
+    in
+    if grant_ok then begin
+      drain_ring backend conn processed;
+      if Ring.needs_service conn.ring then mark_attention backend conn
+    end
+  end
+
+(* The attention member that comes next in [connections] order after
+   order key [below] (keys fall along the list). *)
+let rec next_attention ~below best = function
+  | [] -> best
+  | c :: rest ->
+      let better =
+        c.order < below && match best with Some b -> c.order > b.order | None -> true
+      in
+      next_attention ~below (if better then Some c else best) rest
+
+(* A kick. Rings are served in [connections] order, but only those in the
+   attention set — a request stranded by a lost kick is still there, so
+   any neighbour's kick drains it. Grant validation is gated on the grant
+   generation: every mutation of the grant table moves it, so while it
+   stands where the last full validation walk started, every connected
+   grant still passes and the walk would change nothing. Once it moves
+   (a remap, revoke or unmap, even of an idle ring), the rest of this
+   kick walks every connection and validates each, exactly as a kick
+   that always walks would. *)
+let rec serve_attention (backend : backend) ~below processed =
+  if
+    backend.validate_transport
+    && Hypervisor.grant_generation backend.xen <> backend.validated_gen
+  then validation_walk backend ~below processed
+  else
+    match next_attention ~below None backend.attention with
+    | None -> ()
+    | Some conn ->
+        serve_connection backend conn ~validate:false processed;
+        serve_attention backend ~below:conn.order processed
+
+and validation_walk (backend : backend) ~below processed =
+  let gen = Hypervisor.grant_generation backend.xen in
+  List.iter
+    (fun conn -> if conn.order < below then serve_connection backend conn ~validate:true processed)
+    backend.connections;
+  if below = max_int then backend.validated_gen <- gen
+
 let process_pending (backend : backend) : int =
   let processed = ref 0 in
-  let faults = backend.xen.Hypervisor.faults in
-  (try
-     List.iter
-       (fun conn ->
-         if conn.connected && backend.alive then begin
-           (* Grant-level integrity first: a remapped, revoked or vanished
-              ring grant means every frame on the page is suspect — tear
-              the link (a resilient frontend reconnects with a fresh
-              grant; the in-flight request fails with an audited denial). *)
-           let grant_ok =
-             (not backend.validate_transport)
-             ||
-             match transport_ok backend conn with
-             | Ok () -> true
-             | Error reason ->
-                 transport_tamper backend conn reason;
-                 conn.connected <- false;
-                 false
-           in
-           if grant_ok then begin
-             (* Validated pop when hardening is on: an index/queue
-                divergence is audited once, the indices re-derived from
-                the genuine frames, and the drain continues — the
-                victim's real requests still get served. *)
-             let pop () =
-               if not backend.validate_transport then Ring.pop_request conn.ring
-               else
-                 match Ring.pop_request_validated conn.ring with
-                 | Ok s -> s
-                 | Error reason -> (
-                     transport_tamper backend conn reason;
-                     Ring.sanitize_indices conn.ring;
-                     match Ring.pop_request_validated conn.ring with
-                     | Ok s -> s
-                     | Error _ -> None)
-             in
-             let rec drain () =
-               match pop () with
-               | None -> ()
-               | Some { Ring.id; payload; pusher } ->
-                   if Faults.fire faults Faults.Manager_crash then begin
-                     crash_backend backend;
-                     raise Exit
-                   end;
-                   let sender = Ring.frontend conn.ring in
-                   if backend.validate_transport && pusher <> sender then begin
-                     (* Injected frame: the page says someone other than
-                        the ring's frontend wrote it. Refuse to route it
-                        (a Denied response fills the slot so the id cannot
-                        be replayed) and keep draining genuine frames. *)
-                     transport_tamper backend conn
-                       (Printf.sprintf "injected ring frame from domain %d" pusher);
-                     ignore
-                       (Ring.push_response conn.ring ~id
-                          (Proto.encode_response Proto.Denied "injected ring frame rejected"));
-                     drain ()
-                   end
-                   else begin
-                     incr processed;
-                     let payload = Faults.maybe_mutate faults payload in
-                     let reply =
-                       match Proto.decode_request payload with
-                       | Error m -> Proto.encode_response Proto.Bad_frame m
-                       | Ok (claimed_instance, wire) -> (
-                           match backend.router ~sender ~claimed_instance ~wire with
-                           | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
-                           | Error reason -> Proto.encode_response Proto.Denied reason)
-                     in
-                     (match Ring.push_response conn.ring ~id reply with
-                     | Ok () ->
-                         ignore
-                           (Hypervisor.notify backend.xen ~domid:conn.be_domid ~port:conn.be_port)
-                     | Error _ -> () (* response ring full: drop, frontend times out *));
-                     drain ()
-                   end
-             in
-             drain ()
-           end
-         end)
-       backend.connections
-   with Exit -> ());
+  (if backend.alive then try serve_attention backend ~below:max_int processed with Exit -> ());
   !processed
 
 (* --- Frontend-side synchronous exchange --------------------------------- *)
@@ -486,10 +567,10 @@ let send_attempt (backend : backend) (conn : connection) ~frame ~prev =
       if kicked then ignore (process_pending backend);
       Ok id
 
+(* The node is read on every request even though its path is cached: it
+   is dom0-writable, and that read is the re-pointing attack surface. *)
 let read_claimed_instance (backend : backend) (conn : connection) =
-  let xen = backend.xen in
-  let base = vtpm_fe_path conn.fe_domid in
-  match Hypervisor.xs_read xen ~caller:conn.fe_domid (base ^ "/instance") with
+  match Hypervisor.xs_read backend.xen ~caller:conn.fe_domid conn.instance_path with
   | Error e -> Error ("cannot read instance: " ^ Xenstore.error_name e)
   | Ok inst_str -> (
       match int_of_string_opt inst_str with

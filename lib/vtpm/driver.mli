@@ -25,6 +25,10 @@ type connection = {
   mutable ring_frame : int;  (** grant backing frame recorded at the handshake *)
   mutable connected : bool;
   mutable reconnects : int;  (** reconnection handshakes run on this link *)
+  instance_path : string;  (** the [instance] node, cached at connect; still read per request *)
+  mutable order : int;
+      (** position key in [backend.connections]: keys fall along the list *)
+  mutable attention : bool;  (** member of [backend.attention] *)
 }
 
 type router =
@@ -95,6 +99,13 @@ type backend = {
           the serving frontend, the exchange's serial residue (ring
           trip, XenStore reads, monitor/audit work) charges the sink
           instead of the global meter — see {!set_lane_sink} *)
+  mutable attention : connection list;
+      (** connections whose ring may need service (the rings' work hooks
+          raise it); a kick serves only these *)
+  mutable next_order : int;
+  mutable validated_gen : int;
+      (** grant generation at the start of the last completed validation
+          walk over every connection; [-1] before the first *)
 }
 
 val vtpm_fe_path : Vtpm_xen.Domain.domid -> string
@@ -162,8 +173,13 @@ val restart_backend : backend -> unit
     checkpoint layer's restore hook. Frontends must still {!reconnect}. *)
 
 val process_pending : backend -> int
-(** Drain every connected ring, route, respond; returns the number of
-    requests processed. The sender passed to the router is the ring's
+(** A kick: drain the connected rings in the attention set, in
+    [connections] order, route, respond; returns the number of requests
+    processed. A request stranded by a lost kick is drained by the next
+    kick from any frontend. With validation on, whenever the grant
+    generation has moved since the last full walk, the kick walks every
+    connection and validates its grant first, so a tampered idle ring is
+    audited and torn at a neighbour's kick. The sender passed to the router is the ring's
     recorded frontend — unforgeable from inside a frame. Popped slots pass
     through the fault injector (corruption lands here); an injected
     manager crash kills the backend mid-drain, dropping the popped request

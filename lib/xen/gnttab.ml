@@ -20,15 +20,25 @@ type grant = {
   mutable revoked : bool;
 }
 
-type t = { grants : (Domain.domid * gref, grant) Hashtbl.t; next_ref : (Domain.domid, int) Hashtbl.t }
+(* [generation] moves on every mutation of the table, so a mapping side
+   that validated every grant it holds can skip re-validation until the
+   generation moves again. *)
+type t = {
+  grants : (Domain.domid * gref, grant) Hashtbl.t;
+  next_ref : (Domain.domid, int) Hashtbl.t;
+  mutable generation : int;
+}
 
-let create () = { grants = Hashtbl.create 32; next_ref = Hashtbl.create 8 }
+let create () = { grants = Hashtbl.create 32; next_ref = Hashtbl.create 8; generation = 0 }
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
 
 let grant_access t ~owner ~grantee ~frame ~access : gref =
   let r = Option.value ~default:1 (Hashtbl.find_opt t.next_ref owner) in
   Hashtbl.replace t.next_ref owner (r + 1);
   Hashtbl.replace t.grants (owner, r)
     { gref = r; owner; grantee; frame; access; in_use = false; revoked = false };
+  bump t;
   r
 
 (* Map a foreign frame: the caller must be the named grantee. Returns the
@@ -43,6 +53,7 @@ let map t ~caller ~owner ~gref : (int * access, string) result =
         Error (Printf.sprintf "grant %d from domain %d is for domain %d, not %d" gref owner g.grantee caller)
       else begin
         g.in_use <- true;
+        bump t;
         Ok (g.frame, g.access)
       end
 
@@ -61,6 +72,7 @@ let unmap t ~caller ~owner ~gref : (unit, string) result =
         Error (Printf.sprintf "grant %d from domain %d is not mapped" gref owner)
       else begin
         g.in_use <- false;
+        bump t;
         Ok ()
       end
 
@@ -74,6 +86,7 @@ let revoke t ~owner ~gref : (unit, string) result =
       if g.in_use then Error "grant still mapped by grantee"
       else begin
         g.revoked <- true;
+        bump t;
         Ok ()
       end
 
@@ -87,6 +100,7 @@ let force_revoke t ~owner ~gref : (unit, string) result =
   | None -> Error "no such grant"
   | Some g ->
       g.revoked <- true;
+      bump t;
       Ok ()
 
 (* Hetzelt-style page remapping: point the grant at a different backing
@@ -99,15 +113,17 @@ let remap t ~owner ~gref ~frame : (unit, string) result =
   | None -> Error "no such grant"
   | Some g ->
       Hashtbl.replace t.grants (owner, gref) { g with frame };
+      bump t;
       Ok ()
 
 (* Integrity view for the mapping side: does the grant still exist, what
    frame does it back, is it revoked? The driver compares this against
    what it recorded at connect time. *)
 let inspect t ~owner ~gref : (int * bool * bool) option =
-  Option.map
-    (fun g -> (g.frame, g.in_use, g.revoked))
-    (Hashtbl.find_opt t.grants (owner, gref))
+  match Hashtbl.find_opt t.grants (owner, gref) with
+  | None -> None
+  | Some g -> Some (g.frame, g.in_use, g.revoked)
 
 let revoke_all_for t domid =
-  Hashtbl.iter (fun _ g -> if g.owner = domid || g.grantee = domid then g.revoked <- true) t.grants
+  Hashtbl.iter (fun _ g -> if g.owner = domid || g.grantee = domid then g.revoked <- true) t.grants;
+  bump t

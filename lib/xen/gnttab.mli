@@ -12,6 +12,12 @@ type t
 
 val create : unit -> t
 
+val generation : t -> int
+(** Moves on every mutation: {!grant_access}, {!map}, {!unmap},
+    {!revoke}, {!force_revoke}, {!remap} and {!revoke_all_for} each bump
+    it when they change the table. A mapping side that validated all its
+    grants at generation [g] need not re-validate while it stays [g]. *)
+
 val grant_access : t -> owner:Domain.domid -> grantee:Domain.domid -> frame:int -> access:access -> gref
 
 val map : t -> caller:Domain.domid -> owner:Domain.domid -> gref:gref -> (int * access, string) result

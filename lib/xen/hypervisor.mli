@@ -104,6 +104,10 @@ val grant_backing :
   t -> owner:Domain.domid -> gref:Gnttab.gref -> (int * bool * bool) option
 (** [(frame, in_use, revoked)] for a grant — the mapping side's view. *)
 
+val grant_generation : t -> int
+(** {!Gnttab.generation} of the grant table: unchanged since a full
+    validation walk means every grant the walk accepted still passes. *)
+
 (** {1 XenStore access (charged to the simulated clock)} *)
 
 val xs_read : t -> caller:Domain.domid -> string -> (string, Xenstore.error) result

@@ -45,6 +45,10 @@ type t = {
   mutable req_prod : int;
   mutable req_cons : int;
   hist : slot option array;
+  (* Raised whenever the request side may need the backend's attention:
+     a push (genuine or injected) or a producer-index write. The backend
+     hooks it to keep its attention set without polling every ring. *)
+  mutable on_work : unit -> unit;
 }
 
 let default_capacity = 32
@@ -61,6 +65,7 @@ let create ?(capacity = default_capacity) ~frontend ~backend () =
     req_prod = 0;
     req_cons = 0;
     hist = Array.make (max 1 capacity) None;
+    on_work = ignore;
   }
 
 let frontend t = t.frontend
@@ -70,6 +75,12 @@ let pending_requests t = Queue.length t.requests
 let pending_responses t = Queue.length t.responses
 let req_prod t = t.req_prod
 let req_cons t = t.req_cons
+let set_on_work t f = t.on_work <- f
+
+(* Whether a backend pop could do anything: indices apart, or frames
+   queued. Covers stale-slot re-reads and index tamper, which the pops
+   act on even with no genuine frame pending. *)
+let needs_service t = t.req_prod <> t.req_cons || not (Queue.is_empty t.requests)
 
 (* Frontend side *)
 
@@ -81,6 +92,7 @@ let push_slot t (s : slot) : (int, string) result =
     Hashtbl.replace t.outstanding s.id ();
     t.hist.(s.id mod t.capacity) <- Some s;
     t.req_prod <- t.req_prod + 1;
+    t.on_work ();
     Ok s.id
   end
 
@@ -175,4 +187,6 @@ let snoop_responses t : slot list = List.rev (Queue.fold (fun acc s -> s :: acc)
 let inject_request t ~(pusher : Domain.domid) (payload : string) : (int, string) result =
   push_slot t { id = t.next_id; payload; pusher }
 
-let corrupt_req_prod t ~delta = t.req_prod <- t.req_prod + delta
+let corrupt_req_prod t ~delta =
+  t.req_prod <- t.req_prod + delta;
+  t.on_work ()

@@ -42,6 +42,16 @@ val req_prod : t -> int
 
 val req_cons : t -> int
 
+val needs_service : t -> bool
+(** Whether a backend pop could act: [req_prod <> req_cons] or frames
+    still queued. False means both pops return nothing and change
+    nothing. *)
+
+val set_on_work : t -> (unit -> unit) -> unit
+(** Hook raised after every request-side write: {!push_request},
+    {!inject_request} and {!corrupt_req_prod}. The backend uses it to
+    track which rings need service without polling them all. *)
+
 (** {1 Frontend side} *)
 
 val push_request : t -> string -> (int, string) result

@@ -61,6 +61,25 @@ let rec find_node node = function
       | None -> None
       | Some child -> find_node child rest)
 
+(* [find_node node (split_path p)] without building the component list:
+   walk [p] in place. Components are the maximal runs of non-'/'
+   characters, so empty components ("//", leading or trailing slashes)
+   are skipped and "" or "/" name the root, exactly as [split_path]
+   reads them. Only each looked-up component is copied out. *)
+let find_path node (p : string) =
+  let len = String.length p in
+  let rec component_end i = if i < len && p.[i] <> '/' then component_end (i + 1) else i in
+  let rec walk node i =
+    if i >= len then Some node
+    else if p.[i] = '/' then walk node (i + 1)
+    else
+      let j = component_end i in
+      match Hashtbl.find_opt node.children (String.sub p i (j - i)) with
+      | None -> None
+      | Some child -> walk child j
+  in
+  walk node 0
+
 let node_perm_for node domid =
   if domid = node.owner then Prdwr
   else match List.assoc_opt domid node.acl with Some p -> p | None -> node.others
@@ -92,12 +111,12 @@ let error_name = function
 (* --- Core operations (non-transactional) ---------------------------------- *)
 
 let read t ~caller path : (string, error) result =
-  match find_node t.root (split_path path) with
+  match find_path t.root path with
   | None -> Error Enoent
   | Some n -> if can_read t ~caller n then Ok n.value else Error Eacces
 
 let directory t ~caller path : (string list, error) result =
-  match find_node t.root (split_path path) with
+  match find_path t.root path with
   | None -> Error Enoent
   | Some n ->
       if can_read t ~caller n then
@@ -140,7 +159,7 @@ let write t ~caller path value : (unit, error) result =
   end
 
 let mkdir t ~caller path : (unit, error) result =
-  match find_node t.root (split_path path) with
+  match find_path t.root path with
   | Some _ -> Ok () (* mkdir on existing node is a no-op *)
   | None -> write t ~caller path ""
 
@@ -165,13 +184,13 @@ let rm t ~caller path : (unit, error) result =
               else Error Eacces))
 
 let get_perms t ~caller path : (Domain.domid * perm * (Domain.domid * perm) list, error) result =
-  match find_node t.root (split_path path) with
+  match find_path t.root path with
   | None -> Error Enoent
   | Some n -> if can_read t ~caller n then Ok (n.owner, n.others, n.acl) else Error Eacces
 
 (* Only the node owner (or dom0) may change permissions. *)
 let set_perms t ~caller path ~owner ~others ~acl : (unit, error) result =
-  match find_node t.root (split_path path) with
+  match find_path t.root path with
   | None -> Error Enoent
   | Some n ->
       if t.is_privileged caller || caller = n.owner then begin

@@ -188,6 +188,36 @@ let prop_codec_u64_roundtrip =
       Codec.write_u64 w v;
       Codec.read_u64 (Codec.reader (Codec.contents w)) = v)
 
+(* --- Crc32 ------------------------------------------------------------------------ *)
+
+let crc_input n = String.init n (fun i -> Char.chr (((i * 131) + 7) land 0xff))
+let ref_crc s = Int32.to_int (Crc32_ref.digest s) land 0xFFFFFFFF
+
+let test_crc32_matches_reference () =
+  for n = 0 to 300 do
+    let s = crc_input n in
+    check_i (Printf.sprintf "length %d" n) (ref_crc s) (Crc32.digest s);
+    (* The same bytes as a slice of a larger buffer. *)
+    let padded = "xyz" ^ s ^ "pad" in
+    check_i (Printf.sprintf "slice of length %d" n) (ref_crc s) (Crc32.digest_sub padded 3 n)
+  done
+
+let test_crc32_check_value () =
+  check_i "IEEE check value" 0xCBF43926 (Crc32.digest "123456789");
+  check_i "empty" 0 (Crc32.digest "");
+  Alcotest.check_raises "slice out of range" (Invalid_argument "Crc32.digest_sub") (fun () ->
+      ignore (Crc32.digest_sub "abc" 2 2))
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 matches the Int32 reference on any slice" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Crc32.digest_sub s off len = ref_crc (String.sub s off len)
+      && Crc32.digest s = ref_crc s)
+
 let suite =
   [
     Alcotest.test_case "hex encode" `Quick test_hex_encode;
@@ -213,4 +243,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_sized_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_u64_roundtrip;
+    Alcotest.test_case "crc32 matches reference" `Quick test_crc32_matches_reference;
+    Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
   ]

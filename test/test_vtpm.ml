@@ -47,6 +47,65 @@ let test_proto_v2_integrity () =
   check_b "response corruption detected" true
     (Result.is_error (Proto.decode_response (Bytes.to_string rflip)))
 
+(* The single-allocation encoders against the frozen two-Buffer ones. *)
+let frame_payloads () =
+  let wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 }) in
+  wire :: List.init 301 (fun n -> String.init n (fun i -> Char.chr (((i * 37) + n) land 0xff)))
+
+let test_proto_frames_match_reference () =
+  List.iter
+    (fun payload ->
+      List.iter
+        (fun claimed_instance ->
+          check_s "request frame"
+            (Crc32_ref.encode_request ~claimed_instance payload)
+            (Proto.encode_request ~claimed_instance payload))
+        [ 0; 1; 42; 0xFFFFFFFF; -1; (1 lsl 40) + 5 ];
+      List.iter
+        (fun st ->
+          check_s "response frame" (Crc32_ref.encode_response st payload)
+            (Proto.encode_response st payload))
+        [ Proto.Ok_routed; Proto.Denied; Proto.Bad_frame ])
+    (frame_payloads ())
+
+let prop_proto_frames_match_reference =
+  QCheck.Test.make ~name:"proto frames match the two-buffer reference" ~count:300
+    QCheck.(pair int string)
+    (fun (claimed_instance, payload) ->
+      Proto.encode_request ~claimed_instance payload
+      = Crc32_ref.encode_request ~claimed_instance payload
+      && Proto.encode_response Proto.Denied payload
+         = Crc32_ref.encode_response Proto.Denied payload
+      && Proto.decode_request (Proto.encode_request ~claimed_instance payload)
+         = Ok (claimed_instance land 0xFFFFFFFF, payload))
+
+(* Every single-byte flip and every truncation of a frame is rejected. *)
+let test_proto_every_flip_and_truncation_rejected () =
+  let wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 }) in
+  let frames =
+    [
+      ("request", Proto.encode_request ~claimed_instance:3 wire, fun f -> Result.is_error (Proto.decode_request f));
+      ( "response",
+        Proto.encode_response Proto.Ok_routed (String.make 30 'r'),
+        fun f -> Result.is_error (Proto.decode_response f) );
+    ]
+  in
+  List.iter
+    (fun (what, frame, rejected) ->
+      for pos = 0 to String.length frame - 1 do
+        for mask = 1 to 255 do
+          let b = Bytes.of_string frame in
+          Bytes.set b pos (Char.chr (Char.code frame.[pos] lxor mask));
+          if not (rejected (Bytes.to_string b)) then
+            Alcotest.failf "%s: flip 0x%02x at byte %d accepted" what mask pos
+        done
+      done;
+      for len = 0 to String.length frame - 1 do
+        if not (rejected (String.sub frame 0 len)) then
+          Alcotest.failf "%s: truncation to %d bytes accepted" what len
+      done)
+    frames
+
 (* --- Manager --------------------------------------------------------------------- *)
 
 let mk_manager ?(seed = 13) () =
@@ -488,11 +547,149 @@ let test_driver_resilient_under_faults () =
   done;
   check_i "every request survives" 100 !ok
 
+(* --- Neighbour kicks ------------------------------------------------------------------- *)
+
+(* Three guests on one validating backend, connected a, b, c. The router
+   logs every sender it serves and then runs [on_route]; the tamper hook
+   logs every audited transport violation. *)
+type neighbours = {
+  xen : Vtpm_xen.Hypervisor.t;
+  backend : Driver.backend;
+  a : Driver.connection;
+  b : Driver.connection;
+  c : Driver.connection;
+  served : int list ref;
+  tampers : (int * string) list ref;
+  on_route : (int -> unit) ref;
+}
+
+let neighbour_fixture () =
+  let xen = Vtpm_xen.Hypervisor.create () in
+  Vtpm_xen.Hypervisor.set_faults xen (Vtpm_xen.Faults.create ~seed:1 ());
+  let mgr = Manager.create ~rsa_bits:256 ~seed:29 ~cost:xen.Vtpm_xen.Hypervisor.cost () in
+  let served = ref [] and tampers = ref [] and on_route = ref ignore in
+  let router ~sender ~claimed_instance ~wire =
+    served := sender :: !served;
+    !on_route sender;
+    match Manager.find mgr claimed_instance with
+    | Error e -> Error (Vtpm_util.Verror.to_string e)
+    | Ok i -> Result.map_error Vtpm_util.Verror.to_string (Manager.execute_wire mgr i ~wire)
+  in
+  let backend = Driver.create_backend ~xen ~be_domid:0 ~router () in
+  Driver.set_validate_transport backend true;
+  Driver.set_on_transport_tamper backend (fun d reason -> tampers := (d, reason) :: !tampers);
+  let guest name =
+    let fe =
+      Result.get_ok (Vtpm_xen.Hypervisor.create_domain xen ~caller:0 ~name ~label:"l" ())
+    in
+    ignore (Vtpm_xen.Hypervisor.unpause_domain xen ~caller:0 fe);
+    let inst = Manager.create_instance mgr in
+    ignore (Result.get_ok (Driver.publish_device ~xen ~fe ~be:0 ~instance:inst.Manager.vtpm_id));
+    Result.get_ok (Driver.connect backend ~fe_domid:fe)
+  in
+  let a = guest "a" in
+  let b = guest "b" in
+  let c = guest "c" in
+  { xen; backend; a; b; c; served; tampers; on_route }
+
+let pcr_read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 })
+
+let expect_routed what = function
+  | Ok (Proto.Ok_routed, _) -> ()
+  | Ok _ -> Alcotest.failf "%s: unexpected status" what
+  | Error m -> Alcotest.failf "%s: %s" what m
+
+(* A request whose kick was dropped stays on its ring; the next kick from
+   any neighbour drains it, visiting rings in connection-list order
+   (newest connection first). *)
+let test_driver_neighbour_kick_drains_stranded () =
+  let { xen; backend; a; b; c; served; tampers; _ } = neighbour_fixture () in
+  let strand (conn : Driver.connection) =
+    Vtpm_xen.Faults.schedule xen.Vtpm_xen.Hypervisor.faults Vtpm_xen.Faults.Drop_notify;
+    check_b "kick lost" true (Result.is_error (Driver.request backend conn ~wire:pcr_read_wire));
+    check_i "request stranded" 1 (Vtpm_xen.Ring.pending_requests conn.Driver.ring)
+  in
+  strand a;
+  strand c;
+  check_b "nothing served yet" true (!served = []);
+  expect_routed "neighbour" (Driver.request backend b ~wire:pcr_read_wire);
+  Alcotest.(check (list int))
+    "served in list order"
+    [ c.Driver.fe_domid; b.Driver.fe_domid; a.Driver.fe_domid ]
+    (List.rev !served);
+  List.iter
+    (fun (conn : Driver.connection) ->
+      check_i "drained" 0 (Vtpm_xen.Ring.pending_requests conn.Driver.ring);
+      match Vtpm_xen.Ring.pop_response conn.Driver.ring with
+      | Some slot ->
+          check_b "stranded request answered" true
+            (match Proto.decode_response slot.Vtpm_xen.Ring.payload with
+            | Ok (Proto.Ok_routed, _) -> true
+            | _ -> false)
+      | None -> Alcotest.fail "no response for the stranded request")
+    [ a; c ];
+  check_b "no tamper" true (!tampers = [])
+
+(* Every grant-table mutator applied to an idle guest is audited at the
+   next kick from a neighbour, and tears the idle guest's link. *)
+let test_driver_neighbour_kick_audits_idle_grant () =
+  let module Hv = Vtpm_xen.Hypervisor in
+  let mutators =
+    [
+      ( "remap",
+        fun xen (a : Driver.connection) ->
+          Hv.remap_grant xen ~caller:0 ~owner:a.Driver.fe_domid ~gref:a.Driver.gref ~frame:999 );
+      ( "force-revoke",
+        fun xen (a : Driver.connection) ->
+          Hv.force_revoke_grant xen ~caller:0 ~owner:a.Driver.fe_domid ~gref:a.Driver.gref );
+      ( "unmap",
+        fun xen (a : Driver.connection) ->
+          Hv.unmap_grant xen ~caller:0 ~owner:a.Driver.fe_domid ~gref:a.Driver.gref );
+      ("destroy-domain", fun xen (a : Driver.connection) -> Hv.destroy_domain xen ~caller:0 a.Driver.fe_domid);
+    ]
+  in
+  List.iter
+    (fun (name, mutate) ->
+      let { xen; backend; a; b; c; tampers; _ } = neighbour_fixture () in
+      expect_routed name (Driver.request backend a ~wire:pcr_read_wire);
+      expect_routed name (Driver.request backend b ~wire:pcr_read_wire);
+      check_b (name ^ ": clean before") true (!tampers = []);
+      (match mutate xen a with Ok () -> () | Error e -> Alcotest.failf "%s: %s" name e);
+      check_b (name ^ ": idle link still up") true a.Driver.connected;
+      expect_routed name (Driver.request backend b ~wire:pcr_read_wire);
+      Alcotest.(check (list int))
+        (name ^ ": audited against the idle guest")
+        [ a.Driver.fe_domid ]
+        (List.map fst !tampers);
+      check_b (name ^ ": idle link torn") false a.Driver.connected;
+      check_b (name ^ ": neighbours untouched") true (b.Driver.connected && c.Driver.connected))
+    mutators
+
+(* A grant change made while a kick is serving (here by the router) is
+   still validated in that kick for every connection later in the list. *)
+let test_driver_kick_revalidates_after_mid_kick_grant_change () =
+  let { xen; backend; a; b; c; tampers; on_route; _ } = neighbour_fixture () in
+  expect_routed "warm" (Driver.request backend b ~wire:pcr_read_wire);
+  (on_route :=
+     fun sender ->
+       if sender = c.Driver.fe_domid then
+         ignore
+           (Vtpm_xen.Hypervisor.force_revoke_grant xen ~caller:0 ~owner:a.Driver.fe_domid
+              ~gref:a.Driver.gref));
+  expect_routed "c" (Driver.request backend c ~wire:pcr_read_wire);
+  Alcotest.(check (list int)) "audited in the same kick" [ a.Driver.fe_domid ] (List.map fst !tampers);
+  check_b "idle link torn" false a.Driver.connected;
+  check_b "serving links untouched" true (b.Driver.connected && c.Driver.connected)
+
 let suite =
   [
     Alcotest.test_case "proto request roundtrip" `Quick test_proto_request_roundtrip;
     Alcotest.test_case "proto response roundtrip" `Quick test_proto_response_roundtrip;
     Alcotest.test_case "proto v2 integrity" `Quick test_proto_v2_integrity;
+    Alcotest.test_case "proto frames match reference" `Quick test_proto_frames_match_reference;
+    QCheck_alcotest.to_alcotest prop_proto_frames_match_reference;
+    Alcotest.test_case "proto every flip and truncation rejected" `Quick
+      test_proto_every_flip_and_truncation_rejected;
     Alcotest.test_case "manager instances" `Quick test_manager_instances;
     Alcotest.test_case "manager isolation" `Quick test_manager_instance_isolation;
     Alcotest.test_case "manager suspended rejects" `Quick test_manager_suspended_rejects;
@@ -523,4 +720,10 @@ let suite =
     Alcotest.test_case "driver crash/restart checkpoint" `Quick test_driver_crash_restart_checkpoint;
     Alcotest.test_case "driver drop-notify observable" `Quick test_driver_drop_notify_observable;
     Alcotest.test_case "driver resilient under faults" `Slow test_driver_resilient_under_faults;
+    Alcotest.test_case "driver neighbour kick drains stranded" `Quick
+      test_driver_neighbour_kick_drains_stranded;
+    Alcotest.test_case "driver neighbour kick audits idle grant" `Quick
+      test_driver_neighbour_kick_audits_idle_grant;
+    Alcotest.test_case "driver kick revalidates after mid-kick grant change" `Quick
+      test_driver_kick_revalidates_after_mid_kick_grant_change;
   ]

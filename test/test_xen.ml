@@ -608,6 +608,30 @@ let test_sched_latecomer_gets_share () =
   let after = match Sched.find s 2 with Some v -> v.Sched.runtime_us | None -> 0.0 in
   check_b "latecomer served" true (after -. before > 700_000.0)
 
+(* Path edge cases read the same way the component-list walk did: empty
+   components are skipped, "" and "/" name the root, a missing component
+   is ENOENT and only the final node's permission counts. *)
+let test_xs_path_edges () =
+  let xs = Xenstore.create () in
+  ignore (Xenstore.write xs ~caller:0 "/a/b" "v");
+  List.iter
+    (fun p -> check_b ("reads " ^ p) true (Xenstore.read xs ~caller:0 p = Ok "v"))
+    [ "/a/b"; "//a///b/"; "a/b"; "a/b//"; "///a/b" ];
+  List.iter
+    (fun p -> check_b ("root " ^ p) true (Xenstore.read xs ~caller:3 p = Ok ""))
+    [ ""; "/"; "///" ];
+  List.iter
+    (fun p -> check_b ("enoent " ^ p) true (Xenstore.read xs ~caller:0 p = Error Xenstore.Enoent))
+    [ "/a/x"; "/a/b/c"; "/a//x//"; "/ab"; "/a/b/ " ];
+  ignore (Xenstore.set_perms xs ~caller:0 "/a/b" ~owner:0 ~others:Xenstore.Pnone ~acl:[]);
+  List.iter
+    (fun p -> check_b ("eacces " ^ p) true (Xenstore.read xs ~caller:3 p = Error Xenstore.Eacces))
+    [ "/a/b"; "//a//b"; "a/b/" ];
+  check_b "missing below unreadable is enoent" true
+    (Xenstore.read xs ~caller:3 "/a/b/zz" = Error Xenstore.Enoent);
+  check_b "directory through empty components" true
+    (Xenstore.directory xs ~caller:0 "//a/" = Ok [ "b" ])
+
 let suite =
   [
     Alcotest.test_case "domain lifecycle valid" `Quick test_domain_lifecycle_valid;
@@ -654,6 +678,7 @@ let suite =
     Alcotest.test_case "xs transaction commit" `Quick test_xs_transaction_commit;
     Alcotest.test_case "xs transaction conflict" `Quick test_xs_transaction_conflict;
     Alcotest.test_case "xs guest cannot write root" `Quick test_xs_guest_cannot_write_root;
+    Alcotest.test_case "xs path edges" `Quick test_xs_path_edges;
     Alcotest.test_case "hv create privilege" `Quick test_hv_create_domain_privilege;
     Alcotest.test_case "hv lifecycle domctl" `Quick test_hv_lifecycle_via_domctl;
     Alcotest.test_case "hv dom0 immortal" `Quick test_hv_cannot_destroy_dom0;
