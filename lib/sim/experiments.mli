@@ -1,8 +1,37 @@
-(** The reproduced evaluation: one function per table/figure (see
-    DESIGN.md, "Reconstructed evaluation"). Each returns raw data plus a
-    rendered text block; [bench/main.exe] prints them and EXPERIMENTS.md
-    records them. Latencies are simulated microseconds — deterministic
-    and machine-independent. *)
+(** The reproduced evaluation (see DESIGN.md, "Reconstructed
+    evaluation"). {!registry} declares every table and figure once: its
+    printed text, its JSON record and its named checks.
+    [bench/main.exe], the [seed figures frozen] test and CI all iterate
+    it, and EXPERIMENTS.md records the output. Latencies are simulated
+    microseconds — deterministic and machine-independent.
+
+    The functions below the registry are the parts that tests drive at
+    their own scale. *)
+
+(** {1 The figure registry} *)
+
+type result = {
+  text : string list;
+      (** the printed blocks, in order; each is followed by a newline *)
+  checks : (string * bool) list;
+      (** named invariants; the bench fails if any is false. The text
+          prints them where the section always has (see {!check_lines}). *)
+  record : (string * Json.t) list;
+      (** deterministic fields of the section's JSON record; [[]] writes
+          none *)
+  host : (string * Json.t) list;  (** host-time values, kept out of [record] *)
+}
+
+type entry = { name : string; run : unit -> result }
+
+val registry : entry list
+(** Every table and figure, in bench order, at its default arguments. *)
+
+val check_lines : label:string -> width:int -> (string * bool) list -> string
+(** ["<label> check <name padded to width> PASS|FAIL"], one line per
+    check, without a final newline. *)
+
+(** {1 Parts driven by tests} *)
 
 type table1_row = {
   op : Tenant.op;
@@ -14,14 +43,9 @@ type table1_row = {
 val table1 : ?reps:int -> unit -> table1_row list * string
 (** Per-command latency, baseline vs improved. *)
 
-type table3_row = { operation : string; baseline_us : float; improved_us : float }
-
 val inflate_state : Tenant.t -> kib:int -> unit
 (** Grow a tenant's vTPM state by [kib] KiB of NV data (for the size
     sweeps). *)
-
-val table3 : ?state_kib:int -> unit -> table3_row list * string
-(** Lifecycle costs: create+attach, state save, state resume. *)
 
 val fig1 :
   ?vm_counts:int list -> ?total_ops:int -> unit -> (string * (float * float) list) list * string
@@ -62,15 +86,8 @@ val fig9 :
     policy index), [indexed+gen-cache] (index plus the generation-tagged
     decision cache, invalidated only when a measurement changes). *)
 
-val fig3 : ?ops_per_tenant:int -> unit -> (string * Metrics.summary) list * string
-(** Mixed-workload latency distribution, both modes. *)
-
 val fig4 : ?state_kibs:int list -> unit -> (string * (float * float) list) list * string
 (** Migration time vs state size, plaintext vs protected. *)
-
-val fig5 : ?reps:int -> unit -> (string * float) list * string
-(** Ablation: which monitor feature (cache, audit) costs what on a cheap
-    command, against the no-monitor baseline. *)
 
 (** {1 Recovery evaluation (fault injection; no counterpart in the paper)} *)
 
@@ -108,26 +125,12 @@ val crash_drill : ?extends:int -> ?crash_rate:float -> seed:int -> unit -> crash
     traffic, checkpoint/restore across each crash; [state_preserved]
     compares the recovered PCR against the last acknowledged value. *)
 
-val table4 :
-  ?fault_rates:float list -> ?requests:int -> unit ->
-  (table4_row list * crash_drill) * string
-(** Request survival, retry cost and recovery latency vs fault rate, both
-    transport modes, plus the crash drill. *)
-
-val fig6 :
-  ?fault_rates:float list -> ?requests:int -> unit ->
-  (string * (float * float) list) list * string
-(** Success-rate curves vs fault rate, fail-fast vs self-healing. (The
-    monitor ablation already occupies Figure 5, so recovery is Figure 6.) *)
-
 (** {1 Overload evaluation (flood containment; no counterpart in the paper)} *)
 
 type flood_config =
   | Naive  (** unbounded FIFO, no rate limit *)
   | Quota_only  (** token bucket at service time only *)
   | Full_stack  (** bounded queues + deadline shed + quota + supervisor *)
-
-val flood_config_name : flood_config -> string
 
 type table5_row = {
   config : string;
@@ -152,16 +155,6 @@ val flood_run :
     pool; [batch] (default 1) bounds the driver's per-round batch drain —
     the defaults reproduce the serial PR 3 behaviour bit-for-bit. *)
 
-val table5 : ?flood_x:int -> ?victim_ops:int -> unit -> table5_row list * string
-(** Victim goodput, tail latency and attacker containment under a fixed
-    flood multiple, all three configurations. *)
-
-val fig7 :
-  ?flood_xs:int list -> ?victim_ops:int -> unit ->
-  (string * (float * float) list) list * string
-(** Victim goodput vs flood multiple per configuration: the naive stack
-    collapses, quota-only degrades, the full stack holds. *)
-
 type wedge_drill = {
   wd_requests : int;
   wd_wedges : int;  (** injected instance hangs *)
@@ -179,68 +172,6 @@ val wedge_drill : ?requests:int -> ?wedge_rate:float -> seed:int -> unit -> wedg
     [Wedged_instance] injected; checks quarantine + checkpoint restart,
     degraded read-only service, and that recovery loses no acknowledged
     extend. *)
-
-val render_wedge_drill : wedge_drill -> string
-
-(** {1 Live migration under load (Table 6 / Figure 10; no counterpart in
-    the paper)} *)
-
-type migration_drill = {
-  md_flood_x : int;
-  md_migrated : bool;  (** the steady "no-migration" series sets this false *)
-  md_attempts : int;  (** handshake attempts, including the injected failures *)
-  md_failed_attempts : int;
-  md_drained : int;  (** in-flight requests served under the final drain *)
-  md_migrant_sent : int;
-  md_migrant_good : int;  (** across both hosts *)
-  md_migrant_goodput_pct : float;
-  md_victim_goodput_pct : float;
-  md_lost_in_flight : int;  (** conservation residue on the source; must be 0 *)
-  md_bypass_windows : int;  (** policy-bypass observations; must be 0 *)
-  md_quarantine_held : bool;  (** dest copy never live before the source committed *)
-  md_fresh_monotone : bool;  (** counters strictly increased across exports *)
-  md_replay_blocked : bool;  (** committed stream refused on re-import *)
-  md_replay_audited : bool;  (** ...and the refusal left a denial at the dest *)
-  md_anchor_src_ok : bool;  (** audit anchor chain verifies on the source *)
-  md_anchor_dst_ok : bool;  (** ...and on the destination *)
-}
-
-val migration_drill :
-  ?migrate:bool -> ?flood_x:int -> ?victims:int -> ?victim_period_us:float ->
-  ?migrant_ops:int -> ?deadline_us:float -> ?lanes:int -> ?wedge_rate:float ->
-  seed:int -> unit -> migration_drill
-(** Two-host drill: the source carries the full overload stack plus
-    freshness and an audit anchor under a [flood_x] attacker flood and
-    seeded wedge faults; the migrant's vTPM live-migrates mid-run through
-    a corrupted-stream attempt, a destination-crash attempt, and a clean
-    commit, with its remaining traffic served by the destination. The
-    record carries the drill's invariants: request conservation, zero
-    bypass windows, destination quarantine, freshness monotonicity,
-    replay refusal + audit, and anchor-chain verification on both
-    hosts. *)
-
-val render_migration_drill : migration_drill -> string
-
-val table6 : ?flood_x:int -> unit -> migration_drill * string
-(** The drill's invariants as a table at a fixed flood multiple. *)
-
-val fig10 :
-  ?flood_xs:int list -> ?migrant_ops:int -> unit ->
-  (string * (float * float) list) list * string
-(** Migrant goodput vs flood multiple, steady vs live-migration series:
-    the migration costs a bounded goodput dip, never a lost request. *)
-
-val table7 : ?traces:int -> ?seed:int -> unit -> Vtpm_attacks.Fuzz.soak * string
-(** Adversary matrix under the interleaving fuzzer's soak: per-kind
-    attempts/blocked/wins plus the invariant summary. Zero wins and zero
-    bundle violations are the pass condition. *)
-
-val fig11 :
-  ?attack_fracs:float list -> ?traces:int -> ?seed:int -> unit ->
-  (string * (float * float) list) list * string * (float * Vtpm_attacks.Fuzz.soak) list
-(** Legitimate goodput and tamper detections vs the fraction of attack
-    ops per schedule; also returns the raw per-point soaks so callers
-    (bench) can check the invariant bundle held at every point. *)
 
 (** {1 Hardware-TPM fault domain (Table 8 / Figure 12; no counterpart in
     the paper)} *)
@@ -284,26 +215,6 @@ val anchor_storm : ?flood_x:int -> ?commits:int -> ?seed:int -> unit -> anchor_s
     hardware faults (busy, stall, power loss, NV rot, reset), then the
     injector disarmed and the breaker recovered: the backlog must catch
     up, the journal drain, and the anchor verify — zero torn anchors. *)
-
-val table8 :
-  ?crashes:int -> ?flood_x:int -> ?seed:int -> unit ->
-  table8_row list * anchor_storm * string
-(** The boundary drill over every crash point plus the fault storm, as
-    one table. *)
-
-type fig12_point = {
-  f12_batch : int;
-  f12_naive_us : float;  (** simulated time for one commit per entry *)
-  f12_merkle_us : float;  (** simulated time for the batched catch-up *)
-  f12_speedup : float;
-  f12_proofs_ok : bool;  (** sampled inclusion proofs verify against the root *)
-}
-
-val fig12 : ?batches:int list -> ?seed:int -> unit -> fig12_point list * string
-(** Backlog catch-up throughput: naive per-entry commits vs one
-    Merkle-batched commit anchoring the whole backlog with per-entry
-    inclusion proofs. The batched path must be at least an order of
-    magnitude faster from modest backlog sizes on. *)
 
 val fig13 :
   ?vm_counts:int list ->
@@ -349,10 +260,6 @@ val shard_drill :
     to the noisy group's own lanes and frontend, leaving the quiet
     group's goodput at 100%. [group_quota_rate] additionally installs a
     per-group token bucket on the noisy group. *)
-
-val table9 : ?flood_x:int -> ?victim_ops:int -> unit -> table9_row list * string
-(** The cross-group flood drill: single-manager vs sharded vs sharded
-    with a noisy-group quota, as one table. *)
 
 val fig14 :
   ?vm_counts:int list ->

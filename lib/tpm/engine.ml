@@ -275,9 +275,12 @@ let execute t ~locality (req : Cmd.request) : Cmd.response =
           Some (Vtpm_util.Codec.contents w)
         else if cap = Types.cap_property && sub = Types.cap_prop_manufacturer then Some "OCML"
         else if cap = Types.cap_version then Some "\x01\x02\x00\x00"
-        else if cap = Types.cap_handle && sub = Types.rt_auth then begin
+        else if cap = Types.cap_handle && (sub = Types.rt_auth || sub = Types.rt_key) then begin
           (* TPM_KEY_HANDLE_LIST: u16 count, then the handles *)
-          let hs = Auth.handles t.sessions in
+          let hs =
+            if sub = Types.rt_auth then Auth.handles t.sessions
+            else List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) t.keys.Keystore.handles [])
+          in
           let w = Vtpm_util.Codec.writer () in
           Vtpm_util.Codec.write_u16 w (List.length hs);
           List.iter (Vtpm_util.Codec.write_u32_int w) hs;

@@ -193,6 +193,7 @@ end
 let cap_property = 0x05
 let cap_version = 0x06
 let cap_handle = 0x14
+let rt_key = 0x01 (* TPM_CAP_HANDLE sub-cap: loaded transient keys *)
 let rt_auth = 0x02 (* TPM_CAP_HANDLE sub-cap: loaded auth sessions *)
 let cap_prop_pcr = 0x101
 let cap_prop_manufacturer = 0x103

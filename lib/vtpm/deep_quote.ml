@@ -26,48 +26,47 @@ type t = {
 let hw_pcr_sel = Types.Pcr_selection.of_list [ Manager.manager_pcr ]
 
 let ( let* ) = Result.bind
-let to_str what e = Error (Fmt.str "%s: %a" what Client.pp_error e)
+let to_str what e = Fmt.str "%s: %a" what Client.pp_error e
 
-(* The manager creates (once) and caches an attestation identity key on
-   the hardware TPM. For simplicity we create a fresh signing key under
-   the SRK per call site that asks for one. *)
+(* A fresh attestation identity key on the hardware TPM, created under
+   the SRK for each deep quote and loaded for the caller to evict. A
+   chip whose key slots are full of AIKs whose eviction a busy chip
+   refused has them reclaimed. *)
 let make_hw_aik mgr : (int * string, string) result =
   let hw = Manager.hw_client mgr in
   let aik_auth = Vtpm_crypto.Sha1.digest ("hw-aik:" ^ mgr.Manager.hw_srk_auth) in
-  let* sess =
-    Result.fold ~ok:Result.ok ~error:(to_str "osap")
-      (Client.start_osap hw ~entity_handle:Types.kh_srk ~usage_secret:mgr.Manager.hw_srk_auth)
-  in
-  let* blob, _ =
-    Result.fold ~ok:Result.ok ~error:(to_str "create aik")
-      (Client.create_wrap_key hw sess ~parent:Types.kh_srk ~usage:Types.Signing
-         ~key_auth:aik_auth ())
-  in
-  let* handle =
-    Result.fold ~ok:Result.ok ~error:(to_str "load aik")
-      (Client.load_key2 ~continue:false hw sess ~parent:Types.kh_srk ~blob)
-  in
-  Ok (handle, aik_auth)
+  let srk = Manager.Osap { entity = Types.kh_srk; secret = mgr.Manager.hw_srk_auth } in
+  Result.map_error (to_str "aik")
+    (Manager.with_hw_session hw srk (fun sess ->
+         let* blob, _ =
+           Client.create_wrap_key hw sess ~parent:Types.kh_srk ~usage:Types.Signing
+             ~key_auth:aik_auth ()
+         in
+         let* handle =
+           Manager.reclaiming_hw hw Manager.Hw_keys (fun () ->
+               Client.load_key2 ~continue:false hw sess ~parent:Types.kh_srk ~blob)
+         in
+         Ok (handle, aik_auth)))
 
 (* Produce a deep quote for a guest.
 
    [guest_quote] is the guest-side step: the caller supplies the vTPM
    quote it obtained through its own (policy-mediated!) channel, so a
-   deep quote cannot be used to bypass the monitor. *)
+   deep quote cannot be used to bypass the monitor. The AIK is evicted
+   after the quote, whether it succeeded or not: the chip holds only
+   sixteen loaded keys. *)
 let produce mgr ~(vtpm_quote : string * string * Vtpm_crypto.Rsa.public) : (t, string) result =
   let vtpm_composite, vtpm_signature, vtpm_pubkey = vtpm_quote in
   let hw = Manager.hw_client mgr in
   let* aik_handle, aik_auth = make_hw_aik mgr in
-  let* sess =
-    Result.fold ~ok:Result.ok ~error:(to_str "oiap")
-      (Client.start_oiap hw ~usage_secret:aik_auth)
-  in
   let link_nonce = Vtpm_crypto.Sha1.digest vtpm_signature in
-  let* hw_composite, hw_signature, hw_pubkey =
-    Result.fold ~ok:Result.ok ~error:(to_str "hw quote")
-      (Client.quote ~continue:false hw sess ~key:aik_handle ~external_data:link_nonce
-         ~pcr_sel:hw_pcr_sel)
+  let quoted =
+    Manager.with_hw_session hw (Manager.Oiap aik_auth) (fun sess ->
+        Client.quote ~continue:false hw sess ~key:aik_handle ~external_data:link_nonce
+          ~pcr_sel:hw_pcr_sel)
   in
+  Manager.hw_flush hw aik_handle;
+  let* hw_composite, hw_signature, hw_pubkey = Result.map_error (to_str "hw quote") quoted in
   Ok { vtpm_composite; vtpm_signature; vtpm_pubkey; hw_composite; hw_signature; hw_pubkey }
 
 (* Verifier side: [nonce] is the fresh challenge originally sent to the

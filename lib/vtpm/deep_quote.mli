@@ -19,14 +19,11 @@ type t = {
 val hw_pcr_sel : Vtpm_tpm.Types.Pcr_selection.t
 (** The hardware PCRs covered: the manager measurement register. *)
 
-val make_hw_aik : Manager.t -> (int * string, string) result
-(** Create and load a hardware attestation key under the SRK; returns
-    [(handle, usage secret)]. *)
-
 val produce : Manager.t -> vtpm_quote:string * string * Vtpm_crypto.Rsa.public -> (t, string) result
 (** Wrap a guest-obtained vTPM quote [(composite, signature, pubkey)] in a
-    hardware quote. The guest quote is supplied by the caller, so a deep
-    quote cannot bypass the monitor. *)
+    hardware quote under a fresh AIK, evicted again on success and on
+    failure. The guest quote is supplied by the caller, so a deep quote
+    cannot bypass the monitor. *)
 
 val verify : t -> nonce:string -> bool
 (** Verifier side: checks both signatures and the linkage against the

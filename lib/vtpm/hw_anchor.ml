@@ -25,42 +25,6 @@ let error what (e : Client.error) : Verror.t =
     | Client.Tpm rc -> Verror.Tpm_error rc
     | Client.Transport m -> Verror.Internal (Printf.sprintf "%s: %s" what m)
 
-let flush hw handle = ignore (Client.exchange hw (Cmd.Flush_specific { handle }))
-
-(* The manager is the chip's only user and never keeps a session past
-   the call that opened it, so an auth session still loaded when a new
-   one is refused with TPM_RESOURCES is an orphan: its command failed and
-   its flush was refused too (a busy chip answers every command with
-   TPM_RETRY). List the loaded sessions, flush them, and try once more. *)
-let reclaim_sessions hw =
-  match Client.exchange hw (Cmd.Get_capability { cap = Types.cap_handle; sub = Types.rt_auth }) with
-  | Ok { Cmd.body = Cmd.R_capability payload; _ } -> (
-      let r = Vtpm_util.Codec.reader payload in
-      match List.init (Vtpm_util.Codec.read_u16 r) (fun _ -> Vtpm_util.Codec.read_u32_int r) with
-      | handles -> List.iter (flush hw) handles
-      | exception Vtpm_util.Codec.Truncated _ -> ())
-  | _ -> ()
-
-let start_session hw ~secret =
-  match Client.start_oiap hw ~usage_secret:secret with
-  | Error (Client.Tpm rc) when rc = Types.tpm_resources ->
-      reclaim_sessions hw;
-      Client.start_oiap hw ~usage_secret:secret
-  | r -> r
-
-(* The engine frees a session only when a [continue:false] command
-   succeeds, so a command that fails after session setup strands the
-   engine-side slot; eight strays and every later session start dies
-   with TPM_RESOURCES. Flush best-effort on failure: after a power cut
-   the table is already clear and flushing a dead handle is harmless. *)
-let with_session hw ~secret f =
-  let* sess = start_session hw ~secret in
-  match f sess with
-  | Ok _ as ok -> ok
-  | Error _ as err ->
-      flush hw sess.Client.handle;
-      err
-
 let counter_of_resp (resp : Cmd.response) =
   match resp.Cmd.body with
   | Cmd.R_counter { handle; value; _ } -> Ok (handle, value)
@@ -73,7 +37,7 @@ let define (mgr : Manager.t) ~label ~nv_index ~size ~counter_label ~auth_prefix 
   let counter_auth = Vtpm_crypto.Sha1.digest (auth_prefix ^ mgr.Manager.hw_owner_auth) in
   let attrs = { Types.nv_attrs_default with Types.nv_owner_write = true } in
   Result.map_error (error (label ^ " define"))
-    (with_session hw ~secret:mgr.Manager.hw_owner_auth (fun sess ->
+    (Manager.with_hw_session hw (Manager.Oiap mgr.Manager.hw_owner_auth) (fun sess ->
          let* () = Client.nv_define hw ~session:sess ~continue:true ~index:nv_index ~size ~attrs () in
          let* resp =
            Client.authorized ~continue:false hw sess ~make_req:(fun auth ->
@@ -83,13 +47,13 @@ let define (mgr : Manager.t) ~label ~nv_index ~size ~counter_label ~auth_prefix 
          Ok { label; nv_index; counter_handle; counter_auth; size }))
 
 let write_nv hw ~owner_auth slot data =
-  with_session hw ~secret:owner_auth (fun sess ->
+  Manager.with_hw_session hw (Manager.Oiap owner_auth) (fun sess ->
       Client.nv_write hw ~session:sess ~continue:false ~index:slot.nv_index ~offset:0 ~data ())
 
 let read_nv hw slot = Client.nv_read hw ~index:slot.nv_index ~offset:0 ~length:slot.size ()
 
 let bump_counter hw slot =
-  with_session hw ~secret:slot.counter_auth (fun sess ->
+  Manager.with_hw_session hw (Manager.Oiap slot.counter_auth) (fun sess ->
       let* resp =
         Client.authorized ~continue:false hw sess ~make_req:(fun auth ->
             Cmd.Increment_counter { handle = slot.counter_handle; auth })

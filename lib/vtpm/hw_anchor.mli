@@ -33,9 +33,8 @@ val error : string -> Vtpm_tpm.Client.error -> Vtpm_util.Verror.t
 
 (** {1 Raw ops}
 
-    Each opens its own one-shot session where one is needed, flushes it
-    if the command fails, and on [TPM_RESOURCES] reclaims orphaned
-    sessions before retrying the session start once. *)
+    Each opens its own one-shot session where one is needed, through
+    {!Manager.with_hw_session}. *)
 
 val write_nv :
   Vtpm_tpm.Client.t -> owner_auth:string -> slot -> string -> (unit, Vtpm_tpm.Client.error) result

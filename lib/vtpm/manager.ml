@@ -410,3 +410,53 @@ let hw_transport t : Client.transport =
    not depend on how many instances existed when it was built (t.seed is
    bumped by every [create_instance]). *)
 let hw_client t = Client.create ~seed:((t.creation_seed * 31) + 5) (hw_transport t)
+
+(* Every manager -> hardware-TPM session goes through [with_hw_session].
+   The manager is the chip's only user. It never keeps a session past the
+   call that opened it, nor a transient key past the deep quote that
+   loaded it, so a session or key still loaded when a new one is refused
+   with TPM_RESOURCES is an orphan: its command failed and its flush was
+   refused too (a busy chip answers every command with TPM_RETRY). *)
+type hw_opener = Oiap of string | Osap of { entity : int; secret : string }
+type hw_resource = Hw_sessions | Hw_keys
+
+let hw_flush hw handle = ignore (Client.exchange hw (Cmd.Flush_specific { handle }))
+
+let reclaim_hw ?(keep = []) hw resource =
+  let sub = match resource with Hw_sessions -> Types.rt_auth | Hw_keys -> Types.rt_key in
+  match Client.exchange hw (Cmd.Get_capability { cap = Types.cap_handle; sub }) with
+  | Ok { Cmd.body = Cmd.R_capability payload; _ } -> (
+      let r = Vtpm_util.Codec.reader payload in
+      match List.init (Vtpm_util.Codec.read_u16 r) (fun _ -> Vtpm_util.Codec.read_u32_int r) with
+      | handles -> List.iter (fun h -> if not (List.mem h keep) then hw_flush hw h) handles
+      | exception Vtpm_util.Codec.Truncated _ -> ())
+  | _ -> ()
+
+let reclaiming_hw ?keep hw resource f =
+  match f () with
+  | Error (Client.Tpm rc) when rc = Types.tpm_resources ->
+      reclaim_hw ?keep hw resource;
+      f ()
+  | r -> r
+
+(* The engine frees a session only when a [continue:false] command
+   succeeds, so a command that fails after session setup strands the
+   engine-side slot; eight strays and every later session start dies
+   with TPM_RESOURCES. Flush best-effort on failure: after a power cut
+   the table is already clear and flushing a dead handle is harmless.
+   The success path sends nothing extra. [keep] lists the session
+   handles an enclosing call still holds, which a reclaim must spare. *)
+let with_hw_session ?keep hw opener f =
+  let start () =
+    match opener with
+    | Oiap secret -> Client.start_oiap hw ~usage_secret:secret
+    | Osap { entity; secret } -> Client.start_osap hw ~entity_handle:entity ~usage_secret:secret
+  in
+  match reclaiming_hw ?keep hw Hw_sessions start with
+  | Error _ as err -> err
+  | Ok sess -> (
+      match f sess with
+      | Ok _ as ok -> ok
+      | Error _ as err ->
+          hw_flush hw sess.Client.handle;
+          err)

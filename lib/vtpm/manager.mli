@@ -194,3 +194,39 @@ val hw_transport : t -> Vtpm_tpm.Client.transport
     a transient [Transport] error. *)
 
 val hw_client : t -> Vtpm_tpm.Client.t
+
+(** {2 Hardware-TPM sessions and keys}
+
+    The one session discipline for every manager -> hardware-TPM
+    exchange. *)
+
+type hw_opener =
+  | Oiap of string  (** usage secret *)
+  | Osap of { entity : int; secret : string }  (** entity handle and its usage secret *)
+
+val with_hw_session :
+  ?keep:int list ->
+  Vtpm_tpm.Client.t ->
+  hw_opener ->
+  (Vtpm_tpm.Client.session -> ('a, Vtpm_tpm.Client.error) result) ->
+  ('a, Vtpm_tpm.Client.error) result
+(** Open a session, run [f] in it, and flush the session if [f] fails.
+    The session start goes through {!reclaiming_hw}, which spares the
+    session handles in [keep] (those an enclosing call still holds). The
+    success path sends no extra command: [f] must end the session with a
+    [continue:false] command. *)
+
+type hw_resource = Hw_sessions | Hw_keys
+
+val reclaiming_hw :
+  ?keep:int list ->
+  Vtpm_tpm.Client.t ->
+  hw_resource ->
+  (unit -> ('a, Vtpm_tpm.Client.error) result) ->
+  ('a, Vtpm_tpm.Client.error) result
+(** Run [f]; if the chip refuses it with [TPM_RESOURCES], flush every
+    loaded handle of [resource] outside [keep] (the manager holds none
+    between calls, so they are orphans) and run [f] once more. *)
+
+val hw_flush : Vtpm_tpm.Client.t -> int -> unit
+(** Best-effort [Flush_specific] of a session or transient key handle. *)

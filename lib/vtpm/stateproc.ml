@@ -42,14 +42,12 @@ let save mgr (inst : Manager.instance) ~(format : format) : (string, string) res
       let* sym_key =
         Result.map_error to_str (Client.get_random hw ~length:16)
       in
-      let* sess =
-        Result.map_error to_str (Client.start_oiap hw ~usage_secret:mgr.Manager.hw_srk_auth)
-      in
       let* sealed_key =
         Result.map_error to_str
-          (Client.seal ~continue:false hw sess ~key:Types.kh_srk
-             ~pcr_sel:(Types.Pcr_selection.of_list [ Manager.manager_pcr ])
-             ~blob_auth:(blob_auth_of mgr) ~data:sym_key)
+          (Manager.with_hw_session hw (Manager.Oiap mgr.Manager.hw_srk_auth) (fun sess ->
+               Client.seal ~continue:false hw sess ~key:Types.kh_srk
+                 ~pcr_sel:(Types.Pcr_selection.of_list [ Manager.manager_pcr ])
+                 ~blob_auth:(blob_auth_of mgr) ~data:sym_key))
       in
       let xk = Vtpm_crypto.Xtea.key_of_string sym_key in
       let cipher = Vtpm_crypto.Xtea.ctr_transform xk ~nonce:inst.Manager.vtpm_id state in
@@ -95,16 +93,13 @@ let load mgr (blob : string) : (Engine.t * int option, string) result =
           charge_io_cost mgr ~bytes:(String.length cipher);
           let hw = Manager.hw_client mgr in
           let to_str e = Fmt.str "hw TPM unseal failed: %a" Client.pp_error e in
-          let* ks =
-            Result.map_error to_str (Client.start_oiap hw ~usage_secret:mgr.Manager.hw_srk_auth)
-          in
-          let* ds =
-            Result.map_error to_str (Client.start_oiap hw ~usage_secret:(blob_auth_of mgr))
-          in
           let* sym_key =
             Result.map_error to_str
-              (Client.unseal hw ~key_session:ks ~data_session:ds ~key:Types.kh_srk
-                 ~blob:sealed_key)
+              (Manager.with_hw_session hw (Manager.Oiap mgr.Manager.hw_srk_auth) (fun ks ->
+                   let blob_session = Manager.Oiap (blob_auth_of mgr) in
+                   Manager.with_hw_session ~keep:[ ks.Client.handle ] hw blob_session (fun ds ->
+                       Client.unseal hw ~key_session:ks ~data_session:ds ~key:Types.kh_srk
+                         ~blob:sealed_key)))
           in
           if not (Vtpm_crypto.Hmac.equal_ct mac (Vtpm_crypto.Hmac.sha256_mac ~key:sym_key cipher))
           then Error "sealed state MAC mismatch"

@@ -399,6 +399,61 @@ let test_direct_commit_no_session_leak () =
         (List.length (hw_sessions mgr)))
     [ audit_slot; fresh_slot ]
 
+(* Sealed state and deep quotes open their own hardware sessions (and a
+   deep quote its own AIK). A busy storm fails most of them. A failed
+   operation flushes what it opened; a flush the busy chip refuses too
+   leaves an orphan, reclaimed once the chip runs out. Eight storms
+   strand more than the chip's eight sessions and sixteen key slots, so
+   the healthy operations after each storm work only if orphans are
+   reclaimed, and a healthy operation leaves nothing behind. *)
+let hw_session_storm what mgr op =
+  let keys () = Vtpm_tpm.Keystore.loaded_count mgr.Manager.hw_tpm.Vtpm_tpm.Engine.keys in
+  let f = Vtpm_xen.Faults.create ~seed:3 ~rates:[ (Vtpm_xen.Faults.Hw_busy, 0.5) ] () in
+  for round = 1 to 8 do
+    Manager.set_hw_faults mgr (Some f);
+    let failed = ref 0 in
+    for _ = 1 to 60 do
+      if Result.is_error (op ()) then incr failed
+    done;
+    Manager.set_hw_faults mgr None;
+    check_b (Printf.sprintf "%s: storm %d failed operations" what round) true (!failed > 30);
+    let sessions = List.length (hw_sessions mgr) and loaded = keys () in
+    for i = 1 to 5 do
+      match op () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: attempt %d after storm %d: %s" what i round e
+    done;
+    check_b (what ^ ": healthy operations leave no session") true
+      (List.length (hw_sessions mgr) <= sessions);
+    check_b (what ^ ": healthy operations leave no key") true (keys () <= loaded)
+  done
+
+let storm_instance () =
+  let host = Host.create ~mode:Host.Improved_mode ~seed:5 ~rsa_bits:256 () in
+  let mgr = host.Host.mgr in
+  (mgr, Manager.create_instance mgr)
+
+let test_sealed_save_no_session_leak () =
+  let mgr, inst = storm_instance () in
+  hw_session_storm "sealed save" mgr (fun () ->
+      Result.map ignore (Stateproc.save mgr inst ~format:Stateproc.Sealed))
+
+let test_sealed_load_no_session_leak () =
+  let mgr, inst = storm_instance () in
+  let blob =
+    match Stateproc.save mgr inst ~format:Stateproc.Sealed with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "sealed save: %s" e
+  in
+  hw_session_storm "sealed load" mgr (fun () -> Result.map ignore (Stateproc.load mgr blob))
+
+let test_deep_quote_no_session_leak () =
+  let mgr, _ = storm_instance () in
+  let pub = (Vtpm_crypto.Rsa.generate ~bits:256 (Vtpm_util.Rng.create ~seed:1)).Vtpm_crypto.Rsa.pub in
+  hw_session_storm "deep quote" mgr (fun () ->
+      Result.map ignore
+        (Deep_quote.produce mgr ~vtpm_quote:(String.make 20 'c', "vtpm-signature", pub)))
+
 (* The single-attempt path and the service are two disciplines over the
    same hardware ops: the same digests leave the same NV bytes and
    counter values on two hosts built from one seed. *)
@@ -476,6 +531,12 @@ let suite =
       test_freshness_fails_closed;
     Alcotest.test_case "direct commits leak no session under a busy storm" `Quick
       test_direct_commit_no_session_leak;
+    Alcotest.test_case "sealed save leaks no session under a busy storm" `Quick
+      test_sealed_save_no_session_leak;
+    Alcotest.test_case "sealed load leaks no session under a busy storm" `Quick
+      test_sealed_load_no_session_leak;
+    Alcotest.test_case "deep quote leaks no session under a busy storm" `Quick
+      test_deep_quote_no_session_leak;
     Alcotest.test_case "direct and service commits leave the same anchor" `Quick
       test_direct_matches_service;
     Alcotest.test_case "boundary drill and fault storm at test scale" `Slow

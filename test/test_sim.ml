@@ -183,23 +183,75 @@ let test_experiment_fig4_shape () =
   check_b "plaintext grows" true (snd (List.nth plain 1) > snd (List.nth plain 0));
   check_b "protected grows" true (snd (List.nth prot 1) > snd (List.nth prot 0))
 
-(* --- Seed-figure freeze (PR 10) ---------------------------------------------
-   The crypto overhaul re-derives [Cost.tpm_quote_us] instead of
-   hard-coding it, and the measured quote profiles re-cost the quote
-   path. Neither may move a single byte of the pre-existing figures:
-   these hashes were captured from the seed tables before the overhaul
-   landed, and the derived constant must equal the seed's exactly.
+(* --- Seed-figure freeze ------------------------------------------------------
+   Every entry of [Experiments.registry] is either frozen here, one
+   SHA-256 per printed block at its bench arguments, or listed in
+   [not_frozen] with the reason; a new entry fails the test until it is
+   one or the other. Frozen entries' checks must also hold.
 
-   fig9, fig13 and fig14 are frozen the same way at a reduced scale,
-   captured before the shared sweep body and the single lane-execution
-   path replaced their per-figure copies. fig13 is frozen on its series
-   values (exact float bits), not its rendered table, because the table
-   lost its work-stealing column.
+   The digests were captured from bench output before the refactors they
+   guard landed: the crypto overhaul that re-derives
+   [Cost.tpm_quote_us] (table1, table3-table6 and fig1-fig8), the fold of
+   the direct and journaled anchor paths into one module (table6's two
+   blocks, table8 and fig12's table), the compiled policy index taking
+   over every decision (table1, table3-5, fig2-7), and the figure
+   registry that replaced the bench's hand-written sections (table2's
+   table, table5's wedge drill, table7, fig10, fig12's checks and
+   table9).
 
-   table6, table8 and fig12 (the hardware-anchor figures) are frozen at
-   full scale, captured before the direct and journaled anchor paths
-   were folded into one module. table7 and fig11 stay out: they print
-   CPU time. *)
+   fig9, fig13 and fig14 are frozen at a reduced scale below, captured
+   before the shared sweep body and the single lane-execution path
+   replaced their per-figure copies. fig13 is frozen on its series values
+   (exact float bits), not its rendered table, because the table lost its
+   work-stealing column. *)
+
+let frozen_blocks =
+  [
+    ("table1", [ "37326661307e664ea09b321050bcfd2e70dac83dba53c74064d07166f07027ad" ]);
+    ("table2", [ "856f2197e11a4831402d8158e388dc2bebdd841975f4d17a2eb68ad59b0ea8a8" ]);
+    ("table3", [ "baf2ffc48ae365054ce885f5fdc4dc04aa4637de2015776d75872becd5cd6df5" ]);
+    ("table4", [ "7c44b6d7d3058425e13932e9447efdb94768a8ab3f085fd1ca33c6ecc8513973" ]);
+    ( "table5",
+      [
+        "032a0f58b518cce32927eb3a52e3b088caba47a43c8304db9751c184bacbcde3";
+        "e8839de145d48af9d76810c6929d5a0ebbdeddd0396870f6022e44231d2279cc";
+      ] );
+    ( "table6",
+      [
+        "73dd5e677c65cdddcaee5b5b709574064092331e464a4c403999b6f23679f79d";
+        "4d1fd663680d3f3612ac1ffe66d3e274025396931beef3e357d3c058e6d37eda";
+      ] );
+    ("fig1", [ "dbf90e2bbdb55ba6c1f20bad0d1dfa0ac096cdcf938298cf18da41b81a14e2a5" ]);
+    ("fig2", [ "abda3cc46f83810cc4f80597a11c7e549c9b67ccb3adcbc403420d152d11dc4b" ]);
+    ("fig3", [ "f7cfd8130aa592ccd5dac46372f43776799f2d66285660aab2dc0fdc606b98b1" ]);
+    ("fig4", [ "6171f8b88587f8c0a575482e46d4383f89e030ef9bffaf15efdc917cb57aa01d" ]);
+    ("fig5", [ "d94cb34264e5be2831d45dbe7aae98e49d804b768ce1f8d753e785e7b6fc608a" ]);
+    ("fig6", [ "be9b5e299d0b36f5bd625130c8d6ed41fc5b3f9a114cc45fbae10004ea6d2970" ]);
+    ("fig7", [ "b22035167e4c7e1353e489cbe66fac53b3595836bbb2ea98a2aa2f5f1ff0ebbc" ]);
+    ("fig8", [ "8770cc791e1108fa57b5d2593a7089b4b3f2306b257915461bbbf8c1bb1dd99b" ]);
+    ( "fig10",
+      [
+        "074e45c806e594ca38a6838b03d02e41c675683df97d864ad5689452788a849f";
+        "73dd5e677c65cdddcaee5b5b709574064092331e464a4c403999b6f23679f79d";
+        "b0984ffdcc2465d3eec135a1ce2c9399732121b599d0779421c8201fba192966";
+      ] );
+    ("table7", [ "ae5f450dc85ed79663619d774a1a3679dedc53be2ce6a90dfb8645e919631622" ]);
+    ("table8", [ "3774df9a60c0c90d44cf57828fdcf7987b660796f18231bf7a2fe3221cb9fa0a" ]);
+    ( "fig12",
+      [
+        "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2";
+        "bf63a35ad07d7e9803198082c6fb01e688fd1b3cbbebc08ec5b32a3f33d4f9f0";
+      ] );
+    ("table9", [ "ff74b3dd3b040c1af038c230f1530557d69d277661c19ddf80d4eac915710da2" ]);
+  ]
+
+let not_frozen =
+  [
+    ("fig9", "~8 s at bench scale; frozen at reduced scale below");
+    ("fig11", "prints the 1000-trace soak's CPU time; ~17 s");
+    ("fig13", "~14 s at bench scale; series frozen at reduced scale below");
+    ("fig14", "~20 s at bench scale; frozen at reduced scale below");
+  ]
 
 let series_digest series =
   Vtpm_crypto.Sha256.hexdigest
@@ -214,21 +266,28 @@ let test_seed_figures_frozen () =
   check_f "tpm_quote_us derivation exact" 38_000.0 Vtpm_util.Cost.tpm_quote_us;
   check_f "2010 profile prices quotes at the seed constant" Vtpm_util.Cost.tpm_quote_us
     (Vtpm_util.Cost.quote_cost_us Vtpm_util.Cost.Quote_model_2010);
-  let _, fig1 = Vtpm_sim.Experiments.fig1 () in
-  let _, fig8 = Vtpm_sim.Experiments.fig8 () in
-  Alcotest.(check string)
-    "fig1 rendered table unchanged"
-    "dbf90e2bbdb55ba6c1f20bad0d1dfa0ac096cdcf938298cf18da41b81a14e2a5"
-    (Vtpm_crypto.Sha256.hexdigest fig1);
-  Alcotest.(check string)
-    "fig8 rendered table unchanged"
-    "8770cc791e1108fa57b5d2593a7089b4b3f2306b257915461bbbf8c1bb1dd99b"
-    (Vtpm_crypto.Sha256.hexdigest fig8);
+  List.iter
+    (fun (e : Vtpm_sim.Experiments.entry) ->
+      match (List.assoc_opt e.name frozen_blocks, List.assoc_opt e.name not_frozen) with
+      | Some expected, None ->
+          let r = e.run () in
+          Alcotest.(check (list string))
+            (e.name ^ " printed blocks unchanged")
+            expected
+            (List.map Vtpm_crypto.Sha256.hexdigest r.text);
+          List.iter (fun (c, ok) -> check_b (e.name ^ " check " ^ c) true ok) r.checks
+      | None, Some _ -> ()
+      | _ -> Alcotest.failf "registry entry %s is neither frozen nor listed as not frozen" e.name)
+    Vtpm_sim.Experiments.registry;
   let _, fig9 = Vtpm_sim.Experiments.fig9 ~vm_counts:[ 2; 8; 32 ] ~total_ops:480 () in
   Alcotest.(check string)
     "fig9 rendered table unchanged (reduced scale)"
     "64284284eb587c87bc34154d5378fdacf94d2df45c5cfd7f1bcaca2fbd90353a"
     (Vtpm_crypto.Sha256.hexdigest fig9);
+  Alcotest.(check string)
+    "fig2 compiled rendered output unchanged"
+    "06d5cabe6bcf4b7a9c4b44029a46ce2f33beb43407c9e289e28c1db30511fd21"
+    (Vtpm_crypto.Sha256.hexdigest (snd (Vtpm_sim.Experiments.fig2 ~include_compiled:true ())));
   let fig13, _ = Vtpm_sim.Experiments.fig13 ~vm_counts:[ 8; 32 ] ~total_ops:480 () in
   Alcotest.(check (list string))
     "fig13 series" [ "fixed-hash 8-lane"; "least-loaded"; "sharded" ] (List.map fst fig13);
@@ -240,77 +299,19 @@ let test_seed_figures_frozen () =
     "fig14 rendered table unchanged (reduced scale)"
     "b7319591eab49a9ff2ec1413661d30027990d18ce55723792f7756367e400d0a"
     (Vtpm_crypto.Sha256.hexdigest fig14);
-  let drill, table6 = Vtpm_sim.Experiments.table6 () in
+  (* The attack battery's full outcome text, detail column included. *)
   Alcotest.(check string)
-    "table6 rendered table unchanged"
-    "73dd5e677c65cdddcaee5b5b709574064092331e464a4c403999b6f23679f79d"
-    (Vtpm_crypto.Sha256.hexdigest table6);
-  Alcotest.(check string)
-    "table6 drill summary unchanged"
-    "4d1fd663680d3f3612ac1ffe66d3e274025396931beef3e357d3c058e6d37eda"
-    (Vtpm_crypto.Sha256.hexdigest (Vtpm_sim.Experiments.render_migration_drill drill));
-  let _, _, table8 = Vtpm_sim.Experiments.table8 () in
-  Alcotest.(check string)
-    "table8 rendered table unchanged"
-    "3774df9a60c0c90d44cf57828fdcf7987b660796f18231bf7a2fe3221cb9fa0a"
-    (Vtpm_crypto.Sha256.hexdigest table8);
-  let _, fig12 = Vtpm_sim.Experiments.fig12 () in
-  Alcotest.(check string)
-    "fig12 rendered table unchanged"
-    "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2"
-    (Vtpm_crypto.Sha256.hexdigest fig12);
-  (* The remaining paper tables and figures at default arguments, plus the
-     attack battery's full outcome text (table2's detail column), captured
-     before the linear policy scan stopped deciding requests and became a
-     cost count. *)
-  let frozen name expected rendered =
-    Alcotest.(check string)
-      (name ^ " rendered output unchanged")
-      expected (Vtpm_crypto.Sha256.hexdigest rendered)
-  in
-  frozen "table1"
-    "37326661307e664ea09b321050bcfd2e70dac83dba53c74064d07166f07027ad"
-    (snd (Vtpm_sim.Experiments.table1 ()));
-  frozen "table3"
-    "baf2ffc48ae365054ce885f5fdc4dc04aa4637de2015776d75872becd5cd6df5"
-    (snd (Vtpm_sim.Experiments.table3 ()));
-  frozen "fig2"
-    "abda3cc46f83810cc4f80597a11c7e549c9b67ccb3adcbc403420d152d11dc4b"
-    (snd (Vtpm_sim.Experiments.fig2 ()));
-  frozen "fig2 compiled"
-    "06d5cabe6bcf4b7a9c4b44029a46ce2f33beb43407c9e289e28c1db30511fd21"
-    (snd (Vtpm_sim.Experiments.fig2 ~include_compiled:true ()));
-  frozen "fig3"
-    "f7cfd8130aa592ccd5dac46372f43776799f2d66285660aab2dc0fdc606b98b1"
-    (snd (Vtpm_sim.Experiments.fig3 ()));
-  frozen "fig4"
-    "6171f8b88587f8c0a575482e46d4383f89e030ef9bffaf15efdc917cb57aa01d"
-    (snd (Vtpm_sim.Experiments.fig4 ()));
-  frozen "fig5"
-    "d94cb34264e5be2831d45dbe7aae98e49d804b768ce1f8d753e785e7b6fc608a"
-    (snd (Vtpm_sim.Experiments.fig5 ()));
-  frozen "table4"
-    "7c44b6d7d3058425e13932e9447efdb94768a8ab3f085fd1ca33c6ecc8513973"
-    (snd (Vtpm_sim.Experiments.table4 ()));
-  frozen "fig6"
-    "be9b5e299d0b36f5bd625130c8d6ed41fc5b3f9a114cc45fbae10004ea6d2970"
-    (snd (Vtpm_sim.Experiments.fig6 ()));
-  frozen "table5"
-    "032a0f58b518cce32927eb3a52e3b088caba47a43c8304db9751c184bacbcde3"
-    (snd (Vtpm_sim.Experiments.table5 ()));
-  frozen "fig7"
-    "b22035167e4c7e1353e489cbe66fac53b3595836bbb2ea98a2aa2f5f1ff0ebbc"
-    (snd (Vtpm_sim.Experiments.fig7 ()));
-  frozen "attack battery"
+    "attack battery rendered output unchanged"
     "f2bc142e5691fe4fd9283de0e63dc7a7a328d26518519ecc5dc3c21096f727dc"
-    (String.concat "\n"
-       (List.concat_map
-          (fun mode ->
-            List.map
-              (fun (o : Vtpm_attacks.Attack.outcome) ->
-                Printf.sprintf "%s|%s|%b|%s" (Host.mode_name mode) o.attack o.succeeded o.detail)
-              (Vtpm_attacks.Attack.run_battery ~mode))
-          [ Host.Baseline_mode; Host.Improved_mode ]))
+    (Vtpm_crypto.Sha256.hexdigest
+       (String.concat "\n"
+          (List.concat_map
+             (fun mode ->
+               List.map
+                 (fun (o : Vtpm_attacks.Attack.outcome) ->
+                   Printf.sprintf "%s|%s|%b|%s" (Host.mode_name mode) o.attack o.succeeded o.detail)
+                 (Vtpm_attacks.Attack.run_battery ~mode))
+             [ Host.Baseline_mode; Host.Improved_mode ])))
 
 let test_fig14_shape () =
   (* Small-scale: the measured-crt series must dominate. *)

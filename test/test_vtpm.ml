@@ -364,6 +364,23 @@ let test_deep_quote_substitution_detected () =
       check_b "substituted quote rejected" false (Deep_quote.verify forged ~nonce)
   | Error m -> Alcotest.fail m
 
+(* Each deep quote loads a fresh AIK into the chip's sixteen key slots;
+   it must be evicted again or the seventeenth quote dies with
+   TPM_RESOURCES. *)
+let test_deep_quote_evicts_aik () =
+  let mgr = mk_manager () in
+  let inst = Manager.create_instance mgr in
+  let quote_fn = guest_vtpm_quote mgr inst in
+  let loaded () = Vtpm_tpm.Keystore.loaded_count mgr.Manager.hw_tpm.Vtpm_tpm.Engine.keys in
+  let before = loaded () in
+  for i = 1 to 40 do
+    let nonce = Vtpm_crypto.Sha1.digest (string_of_int i) in
+    match Deep_quote.produce mgr ~vtpm_quote:(quote_fn nonce) with
+    | Ok dq -> check_b (Printf.sprintf "deep quote %d verifies" i) true (Deep_quote.verify dq ~nonce)
+    | Error m -> Alcotest.failf "deep quote %d: %s" i m
+  done;
+  check_i "hardware key slots back to their start" before (loaded ())
+
 (* --- Driver ------------------------------------------------------------------------------ *)
 
 (* Minimal backend fixture around a hypervisor with one guest domain. *)
@@ -710,6 +727,7 @@ let suite =
     Alcotest.test_case "migration garbage" `Quick test_migration_garbage_stream;
     Alcotest.test_case "deep quote verifies" `Quick test_deep_quote_verifies;
     Alcotest.test_case "deep quote substitution" `Quick test_deep_quote_substitution_detected;
+    Alcotest.test_case "deep quote evicts its AIK" `Quick test_deep_quote_evicts_aik;
     Alcotest.test_case "driver connect nodes" `Quick test_driver_connect_publishes_nodes;
     Alcotest.test_case "driver request roundtrip" `Quick test_driver_request_roundtrip;
     Alcotest.test_case "driver client transport" `Quick test_driver_client_transport;
