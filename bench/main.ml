@@ -129,6 +129,37 @@ let bench_audit () =
          Vtpm_access.Audit.append audit ~subject:"guest:3" ~operation:"TPM_Extend"
            ~instance:(Some 1) ~allowed:true ~reason:"rule@4"))
 
+(* The monitor's audit log as the flood workload runs it: capped at 4096
+   entries and rotating, with the long-lived strings the monitor passes.
+   Only [bench micro] runs it. *)
+let audit_cap = 4096
+
+let capped_audit () =
+  let audit = Vtpm_access.Audit.create ~cost:(Vtpm_util.Cost.create ()) in
+  Vtpm_access.Audit.set_max_entries audit (Some audit_cap);
+  audit
+
+let append_capped audit =
+  Vtpm_access.Audit.append audit ~tag:";group:tenant_00" ~subject:"guest:3"
+    ~operation:"TPM_Extend" ~instance:(Some 1) ~allowed:true ~reason:"rule@4"
+
+let bench_audit_capped () =
+  let audit = capped_audit () in
+  Test.make ~name:"audit/append-cap4096" (Staged.stage (fun () -> append_capped audit))
+
+(* Minor-heap words one capped append allocates once the log rotates. *)
+let audit_capped_minor_words () =
+  let audit = capped_audit () in
+  for _ = 1 to 3 * audit_cap do
+    append_capped audit
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    append_capped audit
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* fig4: protected migration export. *)
 let bench_migrate () =
   let host, tenants =
@@ -311,6 +342,7 @@ let run_micro () =
       bench_policy_eval_indexed ();
       bench_audit ();
       bench_audit_digest ();
+      bench_audit_capped ();
       bench_migrate ();
       bench_sign_16_keys ();
     ]
@@ -321,7 +353,13 @@ let run_micro () =
     micro_block "Bechamel micro-benchmarks (real wall-clock of this implementation)"
       (measure_tests tests)
   in
-  { E.text = [ text ]; checks = []; record = []; host = [ host ] }
+  let words = audit_capped_minor_words () in
+  {
+    E.text = [ text; Printf.sprintf "audit/append-cap4096: %.1f minor words per append" words ];
+    checks = [];
+    record = [];
+    host = [ host; ("audit_append_cap4096_minor_words", Json.fixed 1 words) ];
+  }
 
 
 (* fig9's wall-clock half: the audit/crypto residue micros. *)

@@ -242,13 +242,12 @@ let restore t =
 (* Run one hardware op with the service's fault discipline. [cost_us]
    is the op's simulated cost, charged per attempt; the injected stall
    surcharge lands inside the transport, so a late response shows up as
-   elapsed > deadline here. A fresh client per attempt drops any auth
-   session that a chip reset invalidated. *)
+   elapsed > deadline here. Each attempt's raw op opens its own auth
+   session, so a session that a chip reset invalidated is never reused. *)
 let hw_op t ~what ~cost_us (f : Vtpm_tpm.Client.t -> ('a, Vtpm_tpm.Client.error) result) :
     ('a, Verror.t) result =
-  let cost = t.mgr.Manager.cost in
+  let cost = t.mgr.Manager.cost and hw = Manager.hw_client t.mgr in
   let rec attempt k =
-    let hw = Manager.hw_client t.mgr in
     let t0 = Cost.now cost in
     Cost.charge cost cost_us;
     match f hw with

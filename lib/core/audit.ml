@@ -3,7 +3,16 @@
    Every monitor decision appends an entry whose hash covers the previous
    entry's hash, so truncation or in-place tampering of a dumped log is
    detectable given the latest head hash (which the manager can anchor in
-   hardware-TPM NV or a monotonic counter). *)
+   hardware-TPM NV or a monotonic counter).
+
+   Storage is sized for the append path, which runs on every mediated
+   request: the retained window lives in preallocated slot arrays, one per
+   field, and all chain hashes in one buffer. An append writes one slot
+   and allocates nothing that outlives it; the stored strings are the
+   caller's (the monitor hands in names and reasons it built once). The
+   [entry] records the readers see are built on demand. *)
+
+module Sha256 = Vtpm_crypto.Sha256
 
 type entry = {
   seq : int;
@@ -17,121 +26,212 @@ type entry = {
   hash : string;
 }
 
+(* Chain-digest scratch: a reused SHA-256 context and a buffer for the
+   fixed-width fields (seq:8 time:8 instance:9 allowed:1, then a 4-byte
+   length prefix at [len_off]). Each log owns one; [verify_chain] makes
+   its own per call. *)
+type hasher = { ctx : Sha256.ctx; fixed : Bytes.t }
+
+let len_off = 26
+let hasher () = { ctx = Sha256.init (); fixed = Bytes.create (len_off + 4) }
+
+(* Slot flag bits. *)
+let has_instance_bit = 1
+let allowed_bit = 2
+
 type t = {
-  mutable entries : entry list; (* newest first *)
-  mutable head : string;
-  mutable seq : int;
   cost : Vtpm_util.Cost.t;
-  mutable max_entries : int option; (* retention cap; None = unbounded *)
-  mutable base : string; (* chain anchor of the oldest retained entry *)
+  hasher : hasher;
+  mutable seq : int; (* entries ever appended: the next entry's seq *)
+  mutable dropped : int; (* entries compacted away: the oldest retained seq *)
   mutable rotations : int;
-  mutable dropped : int; (* entries compacted away across all rotations *)
+  mutable max_entries : int option; (* retention cap; None = unbounded *)
+  base : Bytes.t; (* chain anchor of the oldest retained entry *)
+  (* The retained window, seqs [dropped, seq), one slot per entry at
+     [seq mod slots]. [tags] holds the piece of the reason a caller passed
+     separately (see [append]), "" when none. *)
+  mutable times : Float.Array.t;
+  mutable subjects : string array;
+  mutable operations : string array;
+  mutable reasons : string array;
+  mutable tags : string array;
+  mutable instances : int array;
+  mutable flags : Bytes.t;
+  mutable hashes : Bytes.t; (* [Sha256.digest_size] bytes per slot *)
 }
 
-let genesis = Vtpm_crypto.Sha256.digest "vtpm-audit-genesis"
+let genesis = Sha256.digest "vtpm-audit-genesis"
+let unbounded_slots = 64
 
 let create ~cost =
+  let n = unbounded_slots in
   {
-    entries = [];
-    head = genesis;
-    seq = 0;
     cost;
-    max_entries = None;
-    base = genesis;
-    rotations = 0;
+    hasher = hasher ();
+    seq = 0;
     dropped = 0;
+    rotations = 0;
+    max_entries = None;
+    base = Bytes.of_string genesis;
+    times = Float.Array.make n 0.0;
+    subjects = Array.make n "";
+    operations = Array.make n "";
+    reasons = Array.make n "";
+    tags = Array.make n "";
+    instances = Array.make n 0;
+    flags = Bytes.make n '\x00';
+    hashes = Bytes.make (n * Sha256.digest_size) '\x00';
   }
+
+let slots t = Array.length t.subjects
+let slot t seq = seq mod slots t
+let retained t = t.seq - t.dropped
 
 (* Per-entry digest: a binary length-delimited encoding fed straight into
    a reused SHA-256 context. No [Printf], no hex round-trip of the
-   previous hash, no intermediate concatenation — this runs on every
-   mediated request and is pure wall-clock overhead. The encoding is
+   previous hash, no intermediate concatenation. The encoding is
    unambiguous: fixed-width binary for numerics, a 4-byte length prefix
-   before each variable field, the raw 32-byte previous hash last. *)
-let digest_ctx = lazy (Vtpm_crypto.Sha256.init ())
-let digest_fixed = Bytes.create 26 (* seq:8 time:8 instance:8 flags:2 *)
-let digest_len4 = Bytes.create 4 (* length prefix scratch *)
-
-let entry_digest ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash =
-  let ctx = Lazy.force digest_ctx in
-  Vtpm_crypto.Sha256.reset ctx;
-  let b = digest_fixed in
+   before each variable field, the raw 32-byte previous hash last. A
+   reason passed in two pieces is prefixed with their summed length and
+   fed piece by piece, the same bytes as its concatenation. This feeds
+   everything but the previous hash. *)
+let feed_fields h ~seq ~time_us ~subject ~operation ~flags ~instance ~reason ~tag =
+  let b = h.fixed in
+  Sha256.reset h.ctx;
   Bytes.set_int64_be b 0 (Int64.of_int seq);
   Bytes.set_int64_be b 8 (Int64.bits_of_float time_us);
-  (match instance with
-  | Some i ->
-      Bytes.set b 16 '\x01';
-      Bytes.set_int64_be b 17 (Int64.of_int i)
-  | None ->
-      Bytes.set b 16 '\x00';
-      Bytes.set_int64_be b 17 0L);
-  Bytes.set b 25 (if allowed then '\x01' else '\x00');
-  Vtpm_crypto.Sha256.feed_bytes ctx b ~off:0 ~len:26;
-  let feed_field s =
-    Bytes.set_int32_be digest_len4 0 (Int32.of_int (String.length s));
-    Vtpm_crypto.Sha256.feed_bytes ctx digest_len4 ~off:0 ~len:4;
-    Vtpm_crypto.Sha256.feed ctx s
+  let has_instance = flags land has_instance_bit <> 0 in
+  Bytes.set b 16 (if has_instance then '\x01' else '\x00');
+  Bytes.set_int64_be b 17 (if has_instance then Int64.of_int instance else 0L);
+  Bytes.set b 25 (if flags land allowed_bit <> 0 then '\x01' else '\x00');
+  Sha256.feed_bytes h.ctx b ~off:0 ~len:len_off;
+  let feed_field s tag =
+    Bytes.set_int32_be b len_off (Int32.of_int (String.length s + String.length tag));
+    Sha256.feed_bytes h.ctx b ~off:len_off ~len:4;
+    Sha256.feed h.ctx s;
+    if tag <> "" then Sha256.feed h.ctx tag
   in
-  feed_field subject;
-  feed_field operation;
-  feed_field reason;
-  Vtpm_crypto.Sha256.feed ctx prev_hash;
-  Vtpm_crypto.Sha256.finalize ctx
+  feed_field subject "";
+  feed_field operation "";
+  feed_field reason tag
 
-(* Keep the newest [n] entries (the list is newest first): one
-   tail-recursive pass returning the kept list, how many were kept and
-   the oldest kept entry — no [List.length]/[List.rev] re-walks and no
-   stack growth at large retention caps. *)
-let take_newest n entries =
-  let rec go i acc oldest = function
-    | x :: rest when i < n -> go (i + 1) (x :: acc) (Some x) rest
-    | _ -> (List.rev acc, i, oldest)
-  in
-  go 0 [] None entries
+let flags_of ~instance ~allowed =
+  (match instance with Some _ -> has_instance_bit | None -> 0)
+  lor if allowed then allowed_bit else 0
 
-let retained t = t.seq - t.dropped
+let digest_with h ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash =
+  feed_fields h ~seq ~time_us ~subject ~operation ~flags:(flags_of ~instance ~allowed)
+    ~instance:(Option.value ~default:0 instance) ~reason ~tag:"";
+  Sha256.feed h.ctx prev_hash;
+  Sha256.finalize h.ctx
+
+let entry_digest ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash =
+  digest_with (hasher ()) ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash
+
+(* Move the retained window into [n] fresh slots (each entry to its
+   [seq mod n]). *)
+let resize t n =
+  let old = slots t and d = Sha256.digest_size in
+  let times = Float.Array.make n 0.0 and subjects = Array.make n "" in
+  let operations = Array.make n "" and reasons = Array.make n "" in
+  let tags = Array.make n "" and instances = Array.make n 0 in
+  let flags = Bytes.make n '\x00' and hashes = Bytes.make (n * d) '\x00' in
+  for seq = t.dropped to t.seq - 1 do
+    let o = seq mod old and s = seq mod n in
+    Float.Array.set times s (Float.Array.get t.times o);
+    subjects.(s) <- t.subjects.(o);
+    operations.(s) <- t.operations.(o);
+    reasons.(s) <- t.reasons.(o);
+    tags.(s) <- t.tags.(o);
+    instances.(s) <- t.instances.(o);
+    Bytes.set flags s (Bytes.get t.flags o);
+    Bytes.blit t.hashes (o * d) hashes (s * d) d
+  done;
+  t.times <- times;
+  t.subjects <- subjects;
+  t.operations <- operations;
+  t.reasons <- reasons;
+  t.tags <- tags;
+  t.instances <- instances;
+  t.flags <- flags;
+  t.hashes <- hashes
 
 (* Rotation/compaction: once the retained window exceeds the cap, keep the
-   newest half of the cap and record the dropped prefix's chain anchor in
-   [base]. The chain over the retained entries stays verifiable from
-   [base] to [head]; the head itself never changes, so an anchored head
-   (hardware-TPM NV) stays valid across rotation. Compacting to half the
-   cap amortizes the list surgery over many appends. *)
+   newest half of the cap and record the dropped prefix's chain anchor
+   (the last dropped entry's hash) in [base]. The chain over the retained
+   entries stays verifiable from [base] to [head]; the head itself never
+   changes, so an anchored head (hardware-TPM NV) stays valid across
+   rotation. Nothing moves: dropped slots are simply reused. *)
 let rotate_if_needed t =
   match t.max_entries with
   | Some m when retained t > m ->
-      let keep = max 1 (m / 2) in
-      let kept, kept_len, oldest = take_newest keep t.entries in
-      t.dropped <- t.dropped + (retained t - kept_len);
-      t.entries <- kept;
-      t.rotations <- t.rotations + 1;
-      t.base <- (match oldest with Some e -> e.prev_hash | None -> t.head)
+      let dropped = t.seq - max 1 (m / 2) in
+      if dropped > t.dropped then begin
+        Bytes.blit t.hashes (slot t (dropped - 1) * Sha256.digest_size) t.base 0
+          Sha256.digest_size;
+        t.dropped <- dropped
+      end;
+      t.rotations <- t.rotations + 1
   | _ -> ()
 
-let append t ~subject ~operation ~instance ~allowed ~reason =
+(* A capped log holds at most cap + 1 entries between an append and its
+   rotation (two for cap 0, which keeps one); an uncapped one doubles. *)
+let set_max_entries t cap =
+  t.max_entries <- cap;
+  rotate_if_needed t;
+  match cap with
+  | Some m when slots t <> max 2 (m + 1) -> resize t (max 2 (m + 1))
+  | _ -> ()
+
+let append ?(tag = "") t ~subject ~operation ~instance ~allowed ~reason =
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.audit_append_us;
-  let seq = t.seq in
+  if retained t = slots t then resize t (2 * slots t);
+  let seq = t.seq and d = Sha256.digest_size in
   let time_us = Vtpm_util.Cost.now t.cost in
-  let prev_hash = t.head in
-  let hash = entry_digest ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash in
-  let e = { seq; time_us; subject; operation; instance; allowed; reason; prev_hash; hash } in
-  t.entries <- e :: t.entries;
-  t.head <- hash;
+  let flags = flags_of ~instance ~allowed in
+  let inst = match instance with Some i -> i | None -> 0 in
+  let s = slot t seq in
+  Float.Array.set t.times s time_us;
+  t.subjects.(s) <- subject;
+  t.operations.(s) <- operation;
+  t.reasons.(s) <- reason;
+  t.tags.(s) <- tag;
+  t.instances.(s) <- inst;
+  Bytes.unsafe_set t.flags s (Char.unsafe_chr flags);
+  let h = t.hasher in
+  feed_fields h ~seq ~time_us ~subject ~operation ~flags ~instance:inst ~reason ~tag;
+  (if seq = t.dropped then Sha256.feed_bytes h.ctx t.base ~off:0 ~len:d
+   else Sha256.feed_bytes h.ctx t.hashes ~off:(slot t (seq - 1) * d) ~len:d);
+  Sha256.finalize_into h.ctx t.hashes ~off:(s * d);
   t.seq <- seq + 1;
   rotate_if_needed t
 
-let set_max_entries t cap =
-  t.max_entries <- cap;
-  rotate_if_needed t
-
+let hash_of t seq = Bytes.sub_string t.hashes (slot t seq * Sha256.digest_size) Sha256.digest_size
 let length t = t.seq
-let head t = t.head
-let base t = t.base
+let head t = if t.seq = t.dropped then Bytes.to_string t.base else hash_of t (t.seq - 1)
+let base t = Bytes.to_string t.base
 let retained_entries t = retained t
 let rotations t = t.rotations
 let dropped t = t.dropped
-let entries_newest_first t = t.entries
-let entries t = List.rev t.entries
+
+let entry_at t seq =
+  let s = slot t seq in
+  let flags = Char.code (Bytes.get t.flags s) in
+  {
+    seq;
+    time_us = Float.Array.get t.times s;
+    subject = t.subjects.(s);
+    operation = t.operations.(s);
+    instance = (if flags land has_instance_bit <> 0 then Some t.instances.(s) else None);
+    allowed = flags land allowed_bit <> 0;
+    reason = (match t.tags.(s) with "" -> t.reasons.(s) | tag -> t.reasons.(s) ^ tag);
+    prev_hash = (if seq = t.dropped then base t else hash_of t (seq - 1));
+    hash = hash_of t seq;
+  }
+
+let entries t =
+  let rec go seq acc = if seq < t.dropped then acc else go (seq - 1) (entry_at t seq :: acc) in
+  go (t.seq - 1) []
 
 (* Verify chain integrity of a (possibly exported) entry list against an
    expected head. Returns the sequence number of the first bad link.
@@ -139,14 +239,15 @@ let entries t = List.rev t.entries
    log's recorded {!base} for the retained window after rotation. *)
 let verify_chain ?(expected_head : string option) ?(base = genesis) (es : entry list) :
     (unit, int) result =
+  let h = hasher () in
   let rec go prev = function
     | [] -> (
         match expected_head with
-        | Some h when not (String.equal h prev) -> Error (-1)
+        | Some head when not (String.equal head prev) -> Error (-1)
         | _ -> Ok ())
     | (e : entry) :: rest ->
         let recomputed =
-          entry_digest ~seq:e.seq ~time_us:e.time_us ~subject:e.subject ~operation:e.operation
+          digest_with h ~seq:e.seq ~time_us:e.time_us ~subject:e.subject ~operation:e.operation
             ~instance:e.instance ~allowed:e.allowed ~reason:e.reason ~prev_hash:prev
         in
         if String.equal recomputed e.hash then go e.hash rest else Error e.seq

@@ -30,11 +30,23 @@ val set_max_entries : t -> int option -> unit
     the cap is kept and the dropped prefix's chain anchor is recorded in
     {!base}, so the retained window remains verifiable and the head
     unchanged. [None] retains everything. Rotates immediately if already
-    over the cap. *)
+    over the cap. The retained window lives in slots sized from the cap;
+    an uncapped log doubles its slots as it grows. *)
 
 val append :
-  t -> subject:string -> operation:string -> instance:int option -> allowed:bool -> reason:string ->
+  ?tag:string ->
+  t ->
+  subject:string ->
+  operation:string ->
+  instance:int option ->
+  allowed:bool ->
+  reason:string ->
   unit
+(** Record one decision. The entry's reason is [reason ^ tag]: [tag]
+    (default [""]) is stored and hashed as a separate piece, so a caller
+    can pass a reason and a suffix it built once without concatenating
+    them per entry. The log keeps the strings it is given, so callers on
+    the hot path should pass long-lived ones. *)
 
 val length : t -> int
 (** Entries ever appended (monotonic across rotation). *)
@@ -53,9 +65,7 @@ val base : t -> string
     never-rotated log; pass it to {!verify_chain} after rotation. *)
 
 val entries : t -> entry list
-(** Oldest retained first. *)
-
-val entries_newest_first : t -> entry list
+(** Oldest retained first, built on demand. *)
 
 val entry_digest :
   seq:int ->
@@ -69,7 +79,8 @@ val entry_digest :
   string
 (** The per-entry chain digest: SHA-256 over a binary length-delimited
     encoding of the fields (no [Printf], no hex round-trips). Exposed for
-    benchmarks; {!append} and {!verify_chain} use it internally. *)
+    benchmarks; {!append} and {!verify_chain} compute the same digest with
+    a context they reuse across entries. *)
 
 val verify_chain : ?expected_head:string -> ?base:string -> entry list -> (unit, int) result
 (** Recompute the chain over an exported (oldest-first) list, anchored at

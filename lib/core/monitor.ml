@@ -63,6 +63,9 @@ type t = {
   group_quotas : (int, Quota.t) Hashtbl.t;
       (* per-vTPM-group token buckets: a grouped tenant's burst drains
          only its own bucket; empty = no group limiting (seed behavior) *)
+  names : (Domain.domid, string) Hashtbl.t;
+      (* guest -> its audit subject string, built once; see [subject_name] *)
+  batch_reasons : (int, string) Hashtbl.t; (* n -> "batch-drain:<n>" *)
   mutable supervisor : Vtpm_mgr.Supervisor.t option;
       (* None: requests execute directly on the manager *)
   mutable freshness : Vtpm_mgr.Freshness.t option;
@@ -91,6 +94,8 @@ let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.d
     audit_enabled = true;
     quota = None;
     group_quotas = Hashtbl.create 8;
+    names = Hashtbl.create 16;
+    batch_reasons = Hashtbl.create 8;
     supervisor = None;
     freshness = None;
     stats =
@@ -198,12 +203,34 @@ let enable_freshness t : (Vtpm_mgr.Freshness.t, string) result =
 
 let set_audit_cap t cap = Audit.set_max_entries t.audit cap
 
+(* Audit strings the log keeps in its slots. A fresh copy per entry
+   would be garbage that outlives the minor heap, so a guest's subject
+   name is built once per domid (dropped by [forget_subject]) and each
+   batch size's reason once per monitor. *)
+let subject_name t (subject : Subject.t) =
+  match subject with
+  | Subject.Guest d -> (
+      match Hashtbl.find t.names d with
+      | name -> name
+      | exception Not_found ->
+          let name = Subject.to_string subject in
+          Hashtbl.replace t.names d name;
+          name)
+  | Subject.Dom0_process _ -> Subject.to_string subject
+
+let batch_reason t n =
+  match Hashtbl.find t.batch_reasons n with
+  | reason -> reason
+  | exception Not_found ->
+      let reason = "batch-drain:" ^ string_of_int n in
+      Hashtbl.replace t.batch_reasons n reason;
+      reason
+
 (* Hook the driver's admission-control events into the audit log, so
    shedding and overload rejection appear under their own reasons next to
    policy denials and rate limiting. *)
 let wire_backpressure t (backend : Vtpm_mgr.Driver.backend) =
   Vtpm_mgr.Driver.set_on_backpressure backend (fun bp domid ->
-      let subject = Subject.Guest domid in
       let reason, op =
         match bp with
         | Vtpm_mgr.Driver.Rejected -> ("overloaded", "queue-admission")
@@ -213,7 +240,7 @@ let wire_backpressure t (backend : Vtpm_mgr.Driver.backend) =
       | Vtpm_mgr.Driver.Rejected -> t.stats.overloaded <- t.stats.overloaded + 1
       | Vtpm_mgr.Driver.Shed -> t.stats.shed <- t.stats.shed + 1);
       if t.audit_enabled then
-        Audit.append t.audit ~subject:(Subject.to_string subject) ~operation:op
+        Audit.append t.audit ~subject:(subject_name t (Subject.Guest domid)) ~operation:op
           ~instance:None ~allowed:false ~reason);
   (* Batch drains are a service event, not a violation: record them as
      allowed entries so the audit trail shows where ring round-trips were
@@ -223,9 +250,8 @@ let wire_backpressure t (backend : Vtpm_mgr.Driver.backend) =
       t.stats.batched_requests <- t.stats.batched_requests + n;
       if t.audit_enabled then
         Audit.append t.audit
-          ~subject:(Subject.to_string (Subject.Guest domid))
-          ~operation:"queue-service" ~instance:None ~allowed:true
-          ~reason:(Printf.sprintf "batch-drain:%d" n))
+          ~subject:(subject_name t (Subject.Guest domid))
+          ~operation:"queue-service" ~instance:None ~allowed:true ~reason:(batch_reason t n))
 
 (* Turn on the driver's transport-integrity validation and route every
    detected violation (remapped or revoked ring grant, corrupted producer
@@ -238,13 +264,14 @@ let wire_transport_guard t (backend : Vtpm_mgr.Driver.backend) =
       t.stats.transport_tampers <- t.stats.transport_tampers + 1;
       if t.audit_enabled then
         Audit.append t.audit
-          ~subject:(Subject.to_string (Subject.Guest domid))
+          ~subject:(subject_name t (Subject.Guest domid))
           ~operation:"transport-tamper" ~instance:None ~allowed:false ~reason)
 
-(* Subject teardown: drop the quota bucket, cached decisions and the
-   measurement generation when a domain is destroyed, so per-subject
-   state never outlives its owner. The per-subject key index makes this
-   O(cached ordinals) instead of a fold over the whole table. *)
+(* Subject teardown: drop the quota bucket, cached decisions, the
+   measurement generation and the audit name when a domain is destroyed,
+   so per-subject state never outlives its owner. The per-subject key
+   index makes this O(cached ordinals) instead of a fold over the whole
+   table. *)
 let forget_subject t (subject : Subject.t) =
   (match t.quota with Some q -> Quota.forget q subject | None -> ());
   let ((kind, skey) as sk) = Subject.cache_key subject in
@@ -253,7 +280,8 @@ let forget_subject t (subject : Subject.t) =
       Hashtbl.iter (fun ordinal () -> Hashtbl.remove t.cache (kind, skey, ordinal)) ordinals;
       Hashtbl.remove t.cached_keys sk
   | None -> ());
-  Hashtbl.remove t.generations sk
+  Hashtbl.remove t.generations sk;
+  match subject with Subject.Guest d -> Hashtbl.remove t.names d | Subject.Dom0_process _ -> ()
 
 let stats t = t.stats
 
@@ -349,11 +377,12 @@ let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding
       end;
       (d.Policy.verdict, d.Policy.reason)
 
-let audit_and_count t ~subject ~operation ~instance ~allowed ~reason =
+let audit_and_count ?tag t ~subject ~operation ~instance ~allowed ~reason =
   let s = t.stats in
   if allowed then s.allowed <- s.allowed + 1 else s.denied <- s.denied + 1;
   if t.audit_enabled then
-    Audit.append t.audit ~subject:(Subject.to_string subject) ~operation ~instance ~allowed ~reason
+    Audit.append ?tag t.audit ~subject:(subject_name t subject) ~operation ~instance ~allowed
+      ~reason
 
 (* --- XenStore tamper detection ------------------------------------------
 
@@ -430,7 +459,9 @@ let group_quota_ok t vtpm_id =
 
 (* Sharded hosts tag every audited wire decision with the routed
    instance's group, giving each tenant a filterable audit stream. The
-   empty suffix on unsharded hosts keeps seed audit lines byte-identical. *)
+   empty suffix on unsharded hosts keeps seed audit lines byte-identical.
+   The log stores the suffix beside the reason ({!Audit.append}'s [tag]),
+   so neither string is rebuilt per request. *)
 let group_suffix t vtpm_id =
   match Vtpm_mgr.Manager.shards t.mgr with
   | None -> ""
@@ -440,10 +471,7 @@ let group_suffix t vtpm_id =
       | Ok inst -> (
           match Vtpm_mgr.Manager.shard_of t.mgr inst with
           | None -> ""
-          | Some s -> ";" ^ s.Vtpm_mgr.Group.audit_tag))
-
-(* Unsharded hosts have no group tag: skip the copy. *)
-let with_tag reason gtag = if gtag = "" then reason else reason ^ gtag
+          | Some s -> s.Vtpm_mgr.Group.audit_tag))
 
 (* --- The wire-request router (installed into the vTPM backend) ----------- *)
 
@@ -469,22 +497,21 @@ let router t : Vtpm_mgr.Driver.router =
           let gtag = group_suffix t b.Binding.vtpm_id in
           match decide t ~subject ~ordinal ~binding:(Some b) with
           | Policy.Deny, reason ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:(with_tag reason gtag);
+              audit_and_count ~tag:gtag t ~subject ~operation:op_name
+                ~instance:(Some b.Binding.vtpm_id) ~allowed:false ~reason;
               Error (Printf.sprintf "policy denied %s (%s)" op_name reason)
           | Policy.Allow, _ when not (quota_ok t subject) ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:(with_tag "rate-limited" gtag);
-              Error (Printf.sprintf "rate limit exceeded for %s" (Subject.to_string subject))
+              audit_and_count ~tag:gtag t ~subject ~operation:op_name
+                ~instance:(Some b.Binding.vtpm_id) ~allowed:false ~reason:"rate-limited";
+              Error (Printf.sprintf "rate limit exceeded for %s" (subject_name t subject))
           | Policy.Allow, _ when not (group_quota_ok t b.Binding.vtpm_id) ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:(with_tag "group-rate-limited" gtag);
-              Error (Printf.sprintf "group rate limit exceeded for %s" (Subject.to_string subject))
+              audit_and_count ~tag:gtag t ~subject ~operation:op_name
+                ~instance:(Some b.Binding.vtpm_id) ~allowed:false ~reason:"group-rate-limited";
+              Error (Printf.sprintf "group rate limit exceeded for %s" (subject_name t subject))
           | Policy.Allow, reason -> (
               let reason = if mismatch then reason ^ ";claimed-id-mismatch" else reason in
-              let reason = with_tag reason gtag in
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:true ~reason;
+              audit_and_count ~tag:gtag t ~subject ~operation:op_name
+                ~instance:(Some b.Binding.vtpm_id) ~allowed:true ~reason;
               (* A PCR-mutating command changes what the measurement gate
                  will see: advance the sender's generation so tagged
                  cache entries are re-evaluated. *)

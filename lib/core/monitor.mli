@@ -59,6 +59,8 @@ type t = {
   mutable audit_enabled : bool;
   mutable quota : Quota.t option;
   group_quotas : (int, Quota.t) Hashtbl.t;
+  names : (Vtpm_xen.Domain.domid, string) Hashtbl.t;
+  batch_reasons : (int, string) Hashtbl.t;
   mutable supervisor : Vtpm_mgr.Supervisor.t option;
   mutable freshness : Vtpm_mgr.Freshness.t option;
   stats : stats;

@@ -12,7 +12,7 @@ type ctx = {
   h : int array; (* 8 words of chaining state *)
   buf : Bytes.t;
   mutable buf_len : int;
-  mutable total : int64;
+  mutable total : int; (* message bytes so far; a native int never boxes *)
 }
 
 let digest_size = 32
@@ -40,7 +40,7 @@ let iv =
     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
   |]
 
-let init () = { h = Array.copy iv; buf = Bytes.create block_size; buf_len = 0; total = 0L }
+let init () = { h = Array.copy iv; buf = Bytes.create block_size; buf_len = 0; total = 0 }
 
 let w = Array.make 64 0
 let kw = Array.make 16 0 (* w.(i) + kt.(i) for the first sixteen rounds *)
@@ -144,7 +144,7 @@ let process_block ctx (s : string) off =
 
 let feed_sub ctx (s : string) ~off ~len =
   if off < 0 || len < 0 || off + len > String.length s then invalid_arg "Sha256.feed_sub";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref off and stop = off + len in
   if ctx.buf_len > 0 then begin
     let take = min (block_size - ctx.buf_len) len in
@@ -174,8 +174,9 @@ let feed_bytes ctx (b : Bytes.t) ~off ~len =
 
 (* Pad directly into the pending block: one compression (two when the
    length field does not fit) instead of per-byte [feed] round-trips. *)
-let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
+let finalize_into ctx dst ~off =
+  if off < 0 || off > Bytes.length dst - digest_size then invalid_arg "Sha256.finalize_into";
+  let bit_len = Int64.mul (Int64.of_int ctx.total) 8L in
   let n = ctx.buf_len in
   Bytes.set ctx.buf n '\x80';
   if n >= 56 then begin
@@ -187,16 +188,19 @@ let finalize ctx =
   Bytes.set_int64_be ctx.buf 56 bit_len;
   process_block ctx (Bytes.unsafe_to_string ctx.buf) 0;
   ctx.buf_len <- 0;
-  let out = Bytes.create digest_size in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
-  done;
+    Bytes.set_int32_be dst (off + (4 * i)) (Int32.of_int ctx.h.(i))
+  done
+
+let finalize ctx =
+  let out = Bytes.create digest_size in
+  finalize_into ctx out ~off:0;
   Bytes.unsafe_to_string out
 
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.buf_len <- 0;
-  ctx.total <- 0L
+  ctx.total <- 0
 
 (* One-shot digests reuse a module-level scratch context, so the hot path
    allocates only the 32-byte result. Safe: [digest] never nests (the

@@ -40,3 +40,8 @@ val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
     the call and may be reused afterwards. *)
 
 val finalize : ctx -> string
+
+val finalize_into : ctx -> Bytes.t -> off:int -> unit
+(** [finalize] writing the 32-byte digest into [dst] at [off] instead of
+    allocating it.
+    @raise Invalid_argument when the range is out of bounds. *)

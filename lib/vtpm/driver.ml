@@ -95,6 +95,7 @@ type backend = {
   mutable on_restart : unit -> unit;
   mutable overload : overload_policy option;
   queues : (Domain.domid, queued Queue.t) Hashtbl.t;
+  mutable queued : int; (* entries across [queues], kept by every push and pop *)
   mutable shed_count : int; (* queued entries dropped past their deadline *)
   mutable rejected_count : int; (* submissions refused at admission *)
   mutable on_backpressure : backpressure -> Domain.domid -> unit;
@@ -147,6 +148,7 @@ let create_backend ?resilience ~xen ~be_domid ~router () =
     on_restart = (fun () -> ());
     overload = None;
     queues = Hashtbl.create 16;
+    queued = 0;
     shed_count = 0;
     rejected_count = 0;
     on_backpressure = (fun _ _ -> ());
@@ -344,6 +346,9 @@ let disconnect (backend : backend) (conn : connection) =
 (* Teardown for the per-frontend queue: pending work of a destroyed
    domain must not leak (or be executed on its behalf posthumously). *)
 let forget_domain (backend : backend) ~(fe_domid : Domain.domid) =
+  (match Hashtbl.find_opt backend.queues fe_domid with
+  | Some q -> backend.queued <- backend.queued - Queue.length q
+  | None -> ());
   Hashtbl.remove backend.queues fe_domid;
   Hashtbl.remove backend.rr_last fe_domid
 
@@ -748,15 +753,23 @@ let queued_depth (backend : backend) ~fe_domid =
   | Some q -> Queue.length q
   | None -> 0
 
-let queued_total (backend : backend) =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) backend.queues 0
+let queued_total (backend : backend) = backend.queued
+
+let push (backend : backend) q entry =
+  Queue.push entry q;
+  backend.queued <- backend.queued + 1
+
+let pop (backend : backend) q =
+  let entry = Queue.pop q in
+  backend.queued <- backend.queued - 1;
+  entry
 
 (* Drop queued entries already past their deadline, oldest first. Only
    meaningful under an overload policy (naive entries carry +inf). *)
 let rec shed_stale (backend : backend) q ~now =
   match Queue.peek_opt q with
   | Some h when h.deadline_abs_us < now ->
-      ignore (Queue.pop q);
+      ignore (pop backend q);
       backend.shed_count <- backend.shed_count + 1;
       backend.on_backpressure Shed h.q_conn.fe_domid;
       shed_stale backend q ~now
@@ -772,9 +785,8 @@ let submit (backend : backend) (conn : connection) ~(wire : string) ?arrival_us
   let q = queue_for backend conn.fe_domid in
   match backend.overload with
   | None ->
-      Queue.push
-        { q_conn = conn; q_wire = wire; arrival_us = arrival; deadline_abs_us = infinity }
-        q;
+      push backend q
+        { q_conn = conn; q_wire = wire; arrival_us = arrival; deadline_abs_us = infinity };
       Ok ()
   | Some p ->
       shed_stale backend q ~now;
@@ -793,9 +805,8 @@ let submit (backend : backend) (conn : connection) ~(wire : string) ?arrival_us
       end
       else begin
         let deadline_abs = arrival +. Option.value ~default:p.deadline_us deadline_us in
-        Queue.push
-          { q_conn = conn; q_wire = wire; arrival_us = arrival; deadline_abs_us = deadline_abs }
-          q;
+        push backend q
+          { q_conn = conn; q_wire = wire; arrival_us = arrival; deadline_abs_us = deadline_abs };
         Ok ()
       end
 
@@ -837,76 +848,84 @@ let pump_batched (backend : backend) ~batch : [ `Idle | `Served of serviced list
   (match backend.overload with
   | Some _ -> Hashtbl.iter (fun _ q -> shed_stale backend q ~now) backend.queues
   | None -> ());
-  let fifo_pick () =
-    (* Earliest arrival first. Exact arrival ties are ranked by cyclic
-       distance from the rotor (first domid at/after it wins, wrapping),
-       not by raw domid: the rotor advances past each served frontend, so
-       tied frontends share service round-robin. Ranking by domid alone
-       let a persistently-full low-domid frontend win every tie and
-       starve the rest. *)
-    let rank domid =
-      if domid >= backend.fifo_rotor then (0, domid) else (1, domid)
+  (* The pick is the least non-empty queue under a total order on
+     (key, domid), so it does not depend on hash order. The winner so far
+     rides along as plain ints and a float, compared directly; -1 means
+     none yet (domids are non-negative). *)
+  let best_domid = ref (-1) and best_key = ref 0 and best_arrival = ref 0.0 in
+  (match backend.overload with
+  | None ->
+      (* Earliest arrival first. Exact arrival ties are ranked by cyclic
+         distance from the rotor (first domid at/after it wins, wrapping),
+         not by raw domid: the rotor advances past each served frontend,
+         so tied frontends share service round-robin. Ranking by domid
+         alone let a persistently-full low-domid frontend win every tie
+         and starve the rest. *)
+      Hashtbl.iter
+        (fun domid q ->
+          if not (Queue.is_empty q) then begin
+            let arrival = (Queue.peek q).arrival_us in
+            let rank = if domid >= backend.fifo_rotor then 0 else 1 in
+            if
+              !best_domid < 0
+              || arrival < !best_arrival
+              || arrival = !best_arrival
+                 && (rank < !best_key || (rank = !best_key && domid < !best_domid))
+            then begin
+              best_domid := domid;
+              best_key := rank;
+              best_arrival := arrival
+            end
+          end)
+        backend.queues
+  | Some _ ->
+      (* Least-recently-served non-empty queue; never-served counts as 0. *)
+      Hashtbl.iter
+        (fun domid q ->
+          if not (Queue.is_empty q) then begin
+            let last = try Hashtbl.find backend.rr_last domid with Not_found -> 0 in
+            if
+              !best_domid < 0 || last < !best_key || (last = !best_key && domid < !best_domid)
+            then begin
+              best_domid := domid;
+              best_key := last
+            end
+          end)
+        backend.queues);
+  if !best_domid < 0 then `Idle
+  else
+    let domid = !best_domid in
+    let q = Hashtbl.find backend.queues domid in
+    let h = pop backend q in
+    (* The picked frontend consumes one scheduling-round slot however
+       many entries the drain serves: round-robin fairness is per
+       round, and the batch bound applies to every frontend alike. *)
+    backend.rr_seq <- backend.rr_seq + 1;
+    Hashtbl.replace backend.rr_last domid backend.rr_seq;
+    backend.fifo_rotor <- domid + 1;
+    let first = serve_entry backend domid h ~ring_charge:Vtpm_util.Cost.ring_round_trip_us in
+    let rec drain n acc =
+      if n >= batch then acc
+      else begin
+        (match backend.overload with
+        | Some _ ->
+            shed_stale backend q ~now:(Vtpm_util.Cost.now backend.xen.Hypervisor.cost)
+        | None -> ());
+        if Queue.is_empty q then acc
+        else
+          let h = pop backend q in
+          (* Same ring, same kick: later entries of the drain cost only
+             the amortised slot time. *)
+          drain (n + 1)
+            (serve_entry backend domid h ~ring_charge:Vtpm_util.Cost.ring_batch_slot_us
+            :: acc)
+      end
     in
-    Hashtbl.fold
-      (fun domid q best ->
-        match Queue.peek_opt q with
-        | None -> best
-        | Some h -> (
-            match best with
-            | Some (bd, (bh : queued), _)
-              when (bh.arrival_us, rank bd) <= (h.arrival_us, rank domid) ->
-                best
-            | _ -> Some (domid, h, q)))
-      backend.queues None
-  in
-  let rr_pick () =
-    (* Least-recently-served non-empty queue; never-served counts as 0. *)
-    Hashtbl.fold
-      (fun domid q best ->
-        match Queue.peek_opt q with
-        | None -> best
-        | Some h ->
-            let last = Option.value ~default:0 (Hashtbl.find_opt backend.rr_last domid) in
-            (match best with
-            | Some (bl, bd, _, _) when (bl, bd) <= (last, domid) -> best
-            | _ -> Some (last, domid, h, q)))
-      backend.queues None
-    |> Option.map (fun (_, domid, h, q) -> (domid, h, q))
-  in
-  let pick = match backend.overload with None -> fifo_pick () | Some _ -> rr_pick () in
-  match pick with
-  | None -> `Idle
-  | Some (domid, h, q) ->
-      ignore (Queue.pop q);
-      (* The picked frontend consumes one scheduling-round slot however
-         many entries the drain serves: round-robin fairness is per
-         round, and the batch bound applies to every frontend alike. *)
-      backend.rr_seq <- backend.rr_seq + 1;
-      Hashtbl.replace backend.rr_last domid backend.rr_seq;
-      backend.fifo_rotor <- domid + 1;
-      let first = serve_entry backend domid h ~ring_charge:Vtpm_util.Cost.ring_round_trip_us in
-      let rec drain n acc =
-        if n >= batch then acc
-        else begin
-          (match backend.overload with
-          | Some _ ->
-              shed_stale backend q ~now:(Vtpm_util.Cost.now backend.xen.Hypervisor.cost)
-          | None -> ());
-          match Queue.take_opt q with
-          | None -> acc
-          | Some h ->
-              (* Same ring, same kick: later entries of the drain cost
-                 only the amortised slot time. *)
-              drain (n + 1)
-                (serve_entry backend domid h ~ring_charge:Vtpm_util.Cost.ring_batch_slot_us
-                :: acc)
-        end
-      in
-      let served = List.rev (drain 1 [ first ]) in
-      (match served with
-      | _ :: _ :: _ -> backend.on_batch domid (List.length served)
-      | _ -> ());
-      `Served served
+    let served = List.rev (drain 1 [ first ]) in
+    (match served with
+    | _ :: _ :: _ -> backend.on_batch domid (List.length served)
+    | _ -> ());
+    `Served served
 
 let pump_one (backend : backend) : [ `Idle | `Served of serviced ] =
   match pump_batched backend ~batch:1 with

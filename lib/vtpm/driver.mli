@@ -73,6 +73,7 @@ type backend = {
       (** checkpoint layer hook: restore manager state after a respawn *)
   mutable overload : overload_policy option;
   queues : (Vtpm_xen.Domain.domid, queued Queue.t) Hashtbl.t;
+  mutable queued : int;  (** entries across [queues]; {!queued_total} *)
   mutable shed_count : int;  (** queued entries dropped past their deadline *)
   mutable rejected_count : int;  (** submissions refused at admission *)
   mutable on_backpressure : backpressure -> Vtpm_xen.Domain.domid -> unit;

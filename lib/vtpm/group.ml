@@ -13,7 +13,7 @@ module Cost = Vtpm_util.Cost
 type shard = {
   group_id : int; (* registry-assigned, > 0 (0 means "ungrouped") *)
   label : string; (* tenant label *)
-  audit_tag : string; (* "group:<label>", appended to routed requests' audit reasons *)
+  audit_tag : string; (* ";group:<label>", appended verbatim to routed requests' audit reasons *)
   pool : Cost.Lanes.pool; (* this shard's private lane pool *)
   mutable members : int; (* live instances assigned to this group *)
 }
@@ -51,7 +51,7 @@ let intern t ~label =
         {
           group_id;
           label;
-          audit_tag = "group:" ^ label;
+          audit_tag = ";group:" ^ label;
           pool = Cost.Lanes.create ~placement:Cost.Lanes.Least_loaded t.lanes_per_shard;
           members = 0;
         }

@@ -9,7 +9,9 @@
 type shard = {
   group_id : int;  (** registry-assigned, > 0 (0 means "ungrouped") *)
   label : string;  (** tenant label *)
-  audit_tag : string;  (** ["group:<label>"], appended to routed requests' audit reasons *)
+  audit_tag : string;
+      (** [";group:<label>"], appended verbatim to routed requests' audit
+          reasons; built once per shard *)
   pool : Vtpm_util.Cost.Lanes.pool;  (** this shard's private lane pool *)
   mutable members : int;  (** live instances assigned to this group *)
 }

@@ -44,6 +44,7 @@ type t = {
          (the default) keeps the transport byte-identical to the seed *)
   mutable hw_ops : int; (* hardware round trips attempted *)
   mutable hw_power_cycles : int;
+  mutable hw_client : Client.t option; (* built by the first [hw_client] call *)
 }
 
 (* PCR the manager's own measurement lives in on the hardware TPM; sealed
@@ -85,6 +86,7 @@ let create ?(rsa_bits = 512) ?(quote_profile = Vtpm_util.Cost.Quote_model_2010) 
     hw_faults = None;
     hw_ops = 0;
     hw_power_cycles = 0;
+    hw_client = None;
   }
 
 (* --- Execution lanes and shard routing ------------------------------------ *)
@@ -406,10 +408,18 @@ let hw_transport t : Client.transport =
         Wire.encode_response resp
       end
 
-(* Seeded from the immutable creation-time seed: the client's stream must
-   not depend on how many instances existed when it was built (t.seed is
-   bumped by every [create_instance]). *)
-let hw_client t = Client.create ~seed:((t.creation_seed * 31) + 5) (hw_transport t)
+(* One client per manager, so its nonceOdd stream runs on from exchange
+   to exchange; a client rebuilt per call would restart the stream and
+   repeat every nonce. Seeded from the immutable creation-time seed: the
+   stream must not depend on how many instances existed when it was built
+   (t.seed is bumped by every [create_instance]). *)
+let hw_client t =
+  match t.hw_client with
+  | Some hw -> hw
+  | None ->
+      let hw = Client.create ~seed:((t.creation_seed * 31) + 5) (hw_transport t) in
+      t.hw_client <- Some hw;
+      hw
 
 (* Every manager -> hardware-TPM session goes through [with_hw_session].
    The manager is the chip's only user. It never keeps a session past the

@@ -44,6 +44,9 @@ type t = {
           [None] (the default) keeps the transport byte-identical *)
   mutable hw_ops : int;  (** hardware round trips attempted under faults *)
   mutable hw_power_cycles : int;
+  mutable hw_client : Vtpm_tpm.Client.t option;
+      (** built by the first {!hw_client} call and kept, so the client's
+          nonceOdd stream runs on across hardware exchanges *)
 }
 
 val manager_pcr : int
@@ -194,6 +197,7 @@ val hw_transport : t -> Vtpm_tpm.Client.transport
     a transient [Transport] error. *)
 
 val hw_client : t -> Vtpm_tpm.Client.t
+(** The manager's one client to its hardware TPM, built on first use. *)
 
 (** {2 Hardware-TPM sessions and keys}
 

@@ -443,6 +443,101 @@ let test_audit_empty_chain () =
   let a = mk_audit () in
   check_b "empty verifies" true (Audit.verify_chain ~expected_head:(Audit.head a) [] = Ok ())
 
+(* Slot storage against the list-based oracle ({!Audit_ref}): random
+   appends (reasons split into reason + tag for the slot log, joined for
+   the oracle; fields long enough to cross SHA-256 blocks), cap changes
+   (uncapped, 0, 1, growing and shrinking) and clock advances. After every
+   step all observables agree: entries, head, base, counters, export
+   bytes, and chain verification of the live and a tampered window. *)
+type audit_op =
+  | Append of {
+      subject : string;
+      operation : string;
+      instance : int option;
+      allowed : bool;
+      reason : string;
+      tag : string;
+    }
+  | Set_cap of int option
+  | Advance of float
+
+let audit_op_gen =
+  let open QCheck.Gen in
+  let field =
+    frequency
+      [
+        (4, string_size ~gen:printable (int_bound 12));
+        (1, string_size ~gen:printable (int_range 50 140));
+      ]
+  in
+  let tag = frequency [ (2, return ""); (1, field) ] in
+  let append =
+    map
+      (fun ((subject, operation, reason, tag), (instance, allowed)) ->
+        Append { subject; operation; instance; allowed; reason; tag })
+      (pair (quad field field field tag) (pair (opt (int_range (-3) 5000)) bool))
+  in
+  let cap =
+    map
+      (fun c -> Set_cap c)
+      (frequency
+         [ (1, return None); (1, return (Some 0)); (1, return (Some 1)); (3, map Option.some (int_range 2 40)) ])
+  in
+  frequency [ (12, append); (2, cap); (2, map (fun us -> Advance us) (float_bound_inclusive 500.0)) ]
+
+let print_audit_op = function
+  | Append { subject; operation; instance; allowed; reason; tag } ->
+      Printf.sprintf "append %S %S %s %b %S+%S" subject operation
+        (match instance with Some i -> string_of_int i | None -> "-")
+        allowed reason tag
+  | Set_cap None -> "cap none"
+  | Set_cap (Some m) -> Printf.sprintf "cap %d" m
+  | Advance us -> Printf.sprintf "advance %g" us
+
+let prop_audit_slots_match_oracle =
+  QCheck.Test.make ~name:"audit slots == list oracle" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_audit_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) audit_op_gen))
+    (fun ops ->
+      let cost_new = Vtpm_util.Cost.create () and cost_ref = Vtpm_util.Cost.create () in
+      let a = Audit.create ~cost:cost_new and r = Audit_ref.create ~cost:cost_ref in
+      let tamper (es : Audit.entry list) =
+        List.mapi (fun i (e : Audit.entry) -> if i = 1 then { e with Audit.reason = e.Audit.reason ^ "!" } else e) es
+      in
+      let agree () =
+        let es = Audit.entries a and rs = Audit_ref.entries r in
+        let verify_both es =
+          Audit.verify_chain ~expected_head:(Audit.head a) ~base:(Audit.base a) es
+          = Audit_ref.verify_chain ~expected_head:(Audit_ref.head r) ~base:(Audit_ref.base r) es
+        in
+        es = rs
+        && String.equal (Audit.head a) (Audit_ref.head r)
+        && String.equal (Audit.base a) (Audit_ref.base r)
+        && Audit.length a = Audit_ref.length r
+        && Audit.retained_entries a = Audit_ref.retained_entries r
+        && Audit.rotations a = Audit_ref.rotations r
+        && Audit.dropped a = Audit_ref.dropped r
+        && String.equal (Audit.export a) (Audit_ref.export r)
+        && Audit.verify_chain ~expected_head:(Audit.head a) ~base:(Audit.base a) es = Ok ()
+        && verify_both es
+        && verify_both (tamper es)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Append { subject; operation; instance; allowed; reason; tag } ->
+              Audit.append a ~tag ~subject ~operation ~instance ~allowed ~reason;
+              Audit_ref.append r ~subject ~operation ~instance ~allowed ~reason:(reason ^ tag)
+          | Set_cap cap ->
+              Audit.set_max_entries a cap;
+              Audit_ref.set_max_entries r cap
+          | Advance us ->
+              Vtpm_util.Cost.charge cost_new us;
+              Vtpm_util.Cost.charge cost_ref us);
+          agree ())
+        ops)
+
 (* Many rotations over a long run: retention stays bounded, drop
    accounting is exact, and the retained window verifies from the rotated
    base — the single-pass compaction must not lose chain anchoring. *)
@@ -1252,6 +1347,7 @@ let suite =
     Alcotest.test_case "audit empty chain" `Quick test_audit_empty_chain;
     Alcotest.test_case "audit export/import" `Quick test_audit_export_import;
     Alcotest.test_case "audit rotation long run" `Quick test_audit_rotation_long_run;
+    QCheck_alcotest.to_alcotest prop_audit_slots_match_oracle;
     Alcotest.test_case "binding bind/lookup" `Quick test_binding_bind_lookup;
     Alcotest.test_case "binding conflicts" `Quick test_binding_conflicts;
     Alcotest.test_case "binding unbind" `Quick test_binding_unbind;

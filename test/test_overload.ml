@@ -203,6 +203,52 @@ let test_pump_arrival_order_naive () =
   let order = pump_domids b 2 in
   check_b "earliest arrival first" true (order = [ g2.Host.domid; g1.Host.domid ])
 
+(* [queued_total] is a counter kept by every push and pop; after any
+   sequence of submits (with sheds and rejections under a policy), pumps,
+   forgets and clock advances it equals the fold over the queues. *)
+type queue_op = Submit of bool | Pump | Forget of bool | Wait of float
+
+let prop_queued_total_matches_fold =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun g -> Submit g) bool);
+          (3, return Pump);
+          (1, map (fun g -> Forget g) bool);
+          (2, map (fun us -> Wait us) (float_bound_inclusive 4_000.0));
+        ])
+  in
+  let print_op = function
+    | Submit g -> Printf.sprintf "submit %b" g
+    | Pump -> "pump"
+    | Forget g -> Printf.sprintf "forget %b" g
+    | Wait us -> Printf.sprintf "wait %g" us
+  in
+  QCheck.Test.make ~name:"driver: queued_total == fold over queues" ~count:25
+    (QCheck.make
+       ~print:(fun (policy, batch, ops) ->
+         Printf.sprintf "policy=%b batch=%d: %s" policy batch
+           (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(triple bool (int_range 1 3) (list_size (int_range 1 60) op_gen)))
+    (fun (policy, batch, ops) ->
+      let host, g1, g2 = two_guest_host () in
+      let b = host.Host.backend in
+      if policy then
+        Driver.set_overload b (Some { Driver.queue_capacity = 3; deadline_us = 5_000.0 });
+      Driver.set_batch b batch;
+      let guest g = if g then g1 else g2 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Submit g -> ignore (Driver.submit b (guest g).Host.conn ~wire:read_wire ())
+          | Pump -> ignore (Driver.pump_batch b)
+          | Forget g -> Driver.forget_domain b ~fe_domid:(guest g).Host.domid
+          | Wait us -> Vtpm_util.Cost.charge (Host.cost host) us);
+          Driver.queued_total b
+          = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) b.Driver.queues 0)
+        ops)
+
 let test_destroy_guest_drops_queue_and_quota () =
   let host, g1, g2 = two_guest_host () in
   let b = host.Host.backend in
@@ -503,6 +549,7 @@ let suite =
     Alcotest.test_case "driver: round-robin service under policy" `Quick
       test_pump_round_robin_under_policy;
     Alcotest.test_case "driver: arrival order naive" `Quick test_pump_arrival_order_naive;
+    QCheck_alcotest.to_alcotest prop_queued_total_matches_fold;
     Alcotest.test_case "teardown: destroy guest drops queue + quota" `Quick
       test_destroy_guest_drops_queue_and_quota;
     Alcotest.test_case "supervisor: trip, quarantine, restore, close" `Quick

@@ -213,7 +213,7 @@ let test_group_registry_basics () =
   check_i "intern is idempotent" a.Group.group_id a'.Group.group_id;
   check_i "two shards" 2 (Group.count g);
   check_b "find_label" true (Group.find_label g "globex" = Some b);
-  check_b "audit tag" true (String.equal a.Group.audit_tag "group:acme");
+  check_b "audit tag" true (String.equal a.Group.audit_tag ";group:acme");
   List.iter
     (fun lanes_per_shard ->
       check_b

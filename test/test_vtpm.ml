@@ -698,6 +698,38 @@ let test_driver_kick_revalidates_after_mid_kick_grant_change () =
   check_b "idle link torn" false a.Driver.connected;
   check_b "serving links untouched" true (b.Driver.connected && c.Driver.connected)
 
+(* Every manager -> hardware-TPM exchange goes through the manager's one
+   client, so successive sessions carry fresh nonceOdd values. Each
+   session's authorized command records the nonceOdd it sends. *)
+let test_hw_sessions_fresh_nonce_odd () =
+  let cost = Vtpm_util.Cost.create () in
+  let mgr = Manager.create ~rsa_bits:256 ~seed:9 ~cost () in
+  let seal_nonce () =
+    let hw = Manager.hw_client mgr in
+    let sent = ref "" in
+    let sealed =
+      Manager.with_hw_session hw (Manager.Oiap mgr.Manager.hw_srk_auth) (fun sess ->
+          Vtpm_tpm.Client.authorized ~continue:false hw sess ~make_req:(fun auth ->
+              sent := auth.Vtpm_tpm.Auth.nonce_odd;
+              Vtpm_tpm.Cmd.Seal
+                {
+                  key = Vtpm_tpm.Types.kh_srk;
+                  pcr_sel = Vtpm_tpm.Types.Pcr_selection.of_list [ Manager.manager_pcr ];
+                  blob_auth = String.make 20 'b';
+                  data = "nonce-probe";
+                  auth;
+                }))
+    in
+    (match sealed with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "seal: %a" Vtpm_tpm.Client.pp_error e);
+    !sent
+  in
+  let first = seal_nonce () in
+  let second = seal_nonce () in
+  check_b "nonceOdd sent" true (String.length first = Vtpm_tpm.Types.digest_size);
+  check_b "second session's nonceOdd differs" false (String.equal first second)
+
 let suite =
   [
     Alcotest.test_case "proto request roundtrip" `Quick test_proto_request_roundtrip;
@@ -728,6 +760,7 @@ let suite =
     Alcotest.test_case "deep quote verifies" `Quick test_deep_quote_verifies;
     Alcotest.test_case "deep quote substitution" `Quick test_deep_quote_substitution_detected;
     Alcotest.test_case "deep quote evicts its AIK" `Quick test_deep_quote_evicts_aik;
+    Alcotest.test_case "hw sessions send fresh nonceOdd" `Quick test_hw_sessions_fresh_nonce_odd;
     Alcotest.test_case "driver connect nodes" `Quick test_driver_connect_publishes_nodes;
     Alcotest.test_case "driver request roundtrip" `Quick test_driver_request_roundtrip;
     Alcotest.test_case "driver client transport" `Quick test_driver_client_transport;
